@@ -149,11 +149,6 @@ class PrimeBooks:
             )
         return books
 
-    @classmethod
-    def from_csv_path(cls, path: str) -> "PrimeBooks":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_csv(fh.read())
-
 
 # ---------------------------------------------------------------------------
 # Journal entries and the general ledger

@@ -17,6 +17,14 @@ block_id has the required number of leading zero bits.
 The genesis block (height 0, all-zero prev_hash, no transactions, all-zero
 merkle root) is created by the Chain constructor and acts as the trust
 anchor: it needs neither approvals nor work.
+
+validate_block is the one place a block is checked: build_block,
+approve_and_append and append_mined raise for the reason code it returns,
+and verify_chain reports that code with the height. Transaction.verify
+memoizes on the object the exact content Ed25519 accepted, so a memo hit
+means the same object with the same bytes, already verified in this
+process. A copy (replace, deepcopy, an import) or a mutated field is
+verified again.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field, replace
-from typing import Any, Iterable, Sequence
+from typing import AbstractSet, Any, Sequence
 
 from . import crypto
 from .crypto import ZERO32, canonical_json, sha256d
@@ -51,6 +59,7 @@ R_UNKNOWN_VAL = "unknown_validator"
 R_APPROVAL_SIG = "bad_approval_signature"
 R_QUORUM = "quorum_not_met"
 R_POW = "pow_target_missed"
+R_EMPTY = "empty_block"
 
 
 class ChainError(Exception):
@@ -124,6 +133,12 @@ class Transaction:
     author_pk: bytes
     signature: bytes
     tx_id: bytes
+    # (kind, payload, author_pk, signature, tx_id) as last accepted by verify
+    _verified: tuple | None = field(default=None, init=False, compare=False, repr=False)
+
+    def __getstate__(self) -> dict:
+        # copy, deepcopy and pickle drop the memo: a copy is verified again.
+        return {k: v for k, v in self.__dict__.items() if k != "_verified"}
 
     @staticmethod
     def preimage(kind: str, payload: bytes, author_pk: bytes) -> bytes:
@@ -159,10 +174,15 @@ class Transaction:
         return json.loads(self.payload.decode("utf-8"))
 
     def verify(self) -> bool:
-        signing = self.signing_bytes()
-        if sha256d(signing) != self.tx_id:
-            return False
-        return crypto.verify(self.author_pk, signing, self.signature)
+        content = (self.kind, self.payload, self.author_pk, self.signature, self.tx_id)
+        if content != self._verified:
+            signing = self.signing_bytes()
+            if sha256d(signing) != self.tx_id:
+                return False
+            if not crypto.verify(self.author_pk, signing, self.signature):
+                return False
+            object.__setattr__(self, "_verified", content)
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +197,19 @@ class BlockHeader:
     wall_time: int
     tx_count: int
     nonce: int
+    # (fields, block_id) as last hashed: each header hashes once, and again
+    # only if a field was mutated in place.
+    _id_memo: tuple | None = field(default=None, init=False, compare=False, repr=False)
+
+    @property
+    def block_id(self) -> bytes:
+        fields = (
+            self.height, self.prev_hash, self.merkle_root,
+            self.wall_time, self.tx_count, self.nonce,
+        )
+        if self._id_memo is None or self._id_memo[0] != fields:
+            object.__setattr__(self, "_id_memo", (fields, header_id(self)))
+        return self._id_memo[1]
 
 
 def serialize_header(header: BlockHeader) -> bytes:
@@ -220,7 +253,7 @@ class Block:
 
     @property
     def block_id(self) -> bytes:
-        return header_id(self.header)
+        return self.header.block_id
 
 
 # ---------------------------------------------------------------------------
@@ -256,21 +289,12 @@ class ChainConfig:
 
 
 def leading_zero_bits(digest: bytes) -> int:
-    bits = 0
-    for byte in digest:
-        if byte == 0:
-            bits += 8
-            continue
-        for shift in range(7, -1, -1):
-            if byte >> shift:
-                return bits + (7 - shift)
-        return bits
-    return bits
+    return len(digest) * 8 - int.from_bytes(digest, "big").bit_length()
 
 
 def pow_check(header: BlockHeader, target_bits: int) -> bool:
-    # Exactly one sha256d: verification stays cheap no matter the target.
-    return leading_zero_bits(header_id(header)) >= target_bits
+    # At most one sha256d: verification stays cheap no matter the target.
+    return leading_zero_bits(header.block_id) >= target_bits
 
 
 def mine_pow(header: BlockHeader, target_bits: int) -> int:
@@ -279,8 +303,8 @@ def mine_pow(header: BlockHeader, target_bits: int) -> int:
         raise BadConfig("pow_target_bits outside 1..24")
     nonce = 0
     while True:
-        candidate = replace(header, nonce=nonce)
-        if pow_check(candidate, target_bits):
+        # Candidates are thrown away: hash them without the block_id memo.
+        if leading_zero_bits(header_id(replace(header, nonce=nonce))) >= target_bits:
             return nonce
         nonce += 1
         if nonce > U64_MAX:
@@ -291,13 +315,84 @@ def mine_pow(header: BlockHeader, target_bits: int) -> int:
 # Block construction
 
 
+def validate_block(
+    block: Block,
+    parent_id: bytes,
+    height: int,
+    seen: AbstractSet[bytes],
+    config: ChainConfig | None,
+) -> str | None:
+    """Check one block against its parent; None if sound, else an R_* reason.
+
+    seen holds the tx ids recorded below this block and is not modified.
+    config None checks a draft that build_block derived from its
+    transactions: the merkle root and the consensus evidence (approvals or
+    work) are left to the append. The genesis block needs no evidence.
+    """
+    h = block.header
+    if h.height != height:
+        return R_HEIGHT
+    if h.prev_hash != parent_id:
+        return R_BAD_GENESIS if height == 0 else R_LINK
+    txs = block.txs
+    if h.tx_count != len(txs):
+        return R_TX_COUNT
+    if not txs and height > 0:
+        return R_EMPTY
+    verified = [tx.verify() for tx in txs]
+    # A verified transaction hashes to its stated id; only a failed one
+    # needs its id recomputed from its canonical bytes.
+    ids = [tx.tx_id if ok else sha256d(tx.signing_bytes()) for tx, ok in zip(txs, verified)]
+    if config is not None and h.merkle_root != (crypto.merkle_root(ids) if ids else ZERO32):
+        return R_MERKLE
+    in_block: set[bytes] = set()
+    for tx, ok, rid in zip(txs, verified, ids):
+        if tx.tx_id != rid:
+            return R_TX_HASH
+        if not ok:
+            return R_TX_SIG
+        if rid in seen or rid in in_block:
+            return R_DUP
+        in_block.add(rid)
+    if config is None or height == 0:
+        return None
+    if config.mode == MODE_POW:
+        return None if pow_check(h, config.pow_target_bits) else R_POW
+    bid = h.block_id
+    distinct: set[bytes] = set()
+    for ap in block.approvals:
+        if ap.validator_pk not in config.validators:
+            return R_UNKNOWN_VAL
+        if not crypto.verify(ap.validator_pk, bid, ap.signature):
+            return R_APPROVAL_SIG
+        distinct.add(ap.validator_pk)
+    return None if len(distinct) >= config.quorum_m else R_QUORUM
+
+
+# What build and append raise for a reason; the others raise ChainError.
+_ERRORS: dict[str, type[ChainError]] = {
+    R_HEIGHT: StaleParent, R_LINK: StaleParent, R_TX_HASH: BadTxSignature,
+    R_TX_SIG: BadTxSignature, R_DUP: DoubleSpend, R_UNKNOWN_VAL: UnknownValidator,
+    R_APPROVAL_SIG: BadApprovalSignature, R_POW: PowTargetMissed,
+}
+
+
+def _raise_for(reason: str | None, block: Block, config: ChainConfig) -> None:
+    if reason == R_QUORUM:
+        raise QuorumNotMet(len({ap.validator_pk for ap in block.approvals}), config.quorum_m)
+    if reason == R_MERKLE and not all(tx.verify() for tx in block.txs):
+        reason = R_TX_SIG  # the root moved because a transaction was altered
+    if reason is not None:
+        raise _ERRORS.get(reason, ChainError)(f"{reason} at height {block.header.height}")
+
+
 def build_block(
     txs: Sequence[Transaction],
     prev_block_id: bytes,
     height: int,
     wall_time: int,
     config: ChainConfig,
-    known_tx_ids: Iterable[bytes] = (),
+    known_tx_ids: AbstractSet[bytes] = frozenset(),
 ) -> Block:
     """Assemble an unappended block. Validates txs, leaves nonce = 0.
 
@@ -306,16 +401,6 @@ def build_block(
     """
     if not txs:
         raise ChainError("a block must carry at least one transaction")
-    seen = set(known_tx_ids)
-    for tx in txs:
-        if not tx.verify():
-            raise BadTxSignature(f"invalid signature or id on tx {tx.tx_id.hex()}")
-        if tx.tx_id in seen:
-            raise DoubleSpend(
-                f"transaction {tx.tx_id.hex()} already recorded; "
-                "a tx may never be recorded more than once"
-            )
-        seen.add(tx.tx_id)
     header = BlockHeader(
         height=height,
         prev_hash=crypto.require_hash32(prev_block_id, "prev_block_id"),
@@ -324,7 +409,9 @@ def build_block(
         tx_count=len(txs),
         nonce=0,
     )
-    return Block(header=header, txs=tuple(txs))
+    block = Block(header=header, txs=tuple(txs))
+    _raise_for(validate_block(block, prev_block_id, height, known_tx_ids, None), block, config)
+    return block
 
 
 # ---------------------------------------------------------------------------
@@ -357,14 +444,6 @@ class Chain:
         self.blocks: list[Block] = [genesis]
         self._tx_ids: set[bytes] = set()
 
-    @classmethod
-    def _from_blocks(cls, config: ChainConfig, blocks: list[Block]) -> "Chain":
-        chain = cls.__new__(cls)
-        chain.config = config
-        chain.blocks = blocks
-        chain._tx_ids = {tx.tx_id for b in blocks for tx in b.txs}
-        return chain
-
     @property
     def tip(self) -> Block:
         return self.blocks[-1]
@@ -377,13 +456,6 @@ class Chain:
     def tx_ids(self) -> frozenset[bytes]:
         return frozenset(self._tx_ids)
 
-    def find_tx(self, tx_id: bytes) -> Transaction | None:
-        for block in self.blocks:
-            for tx in block.txs:
-                if tx.tx_id == tx_id:
-                    return tx
-        return None
-
     def build_block(self, txs: Sequence[Transaction], wall_time: int) -> Block:
         return build_block(
             txs,
@@ -394,33 +466,14 @@ class Chain:
             known_tx_ids=self._tx_ids,
         )
 
-    def _check_parent(self, block: Block) -> None:
-        if (
-            block.header.prev_hash != self.tip.block_id
-            or block.header.height != self.height + 1
-        ):
-            raise StaleParent(
-                f"block at height {block.header.height} does not extend tip "
-                f"{self.height}"
-            )
-
-    def _check_txs(self, block: Block) -> None:
-        if block.header.tx_count != len(block.txs):
-            raise ChainError("tx_count does not match transaction list")
-        seen = set(self._tx_ids)
-        for tx in block.txs:
-            if not tx.verify():
-                raise BadTxSignature(f"invalid signature or id on tx {tx.tx_id.hex()}")
-            if tx.tx_id in seen:
-                raise DoubleSpend(
-                    f"transaction {tx.tx_id.hex()} already recorded; "
-                    "a tx may never be recorded more than once"
-                )
-            seen.add(tx.tx_id)
-        if block.header.merkle_root != crypto.merkle_root(
-            [tx.tx_id for tx in block.txs]
-        ):
-            raise ChainError("merkle_root does not match transactions")
+    def _append(self, block: Block) -> Block:
+        reason = validate_block(
+            block, self.tip.block_id, self.height + 1, self._tx_ids, self.config
+        )
+        _raise_for(reason, block, self.config)
+        self.blocks.append(block)
+        self._tx_ids.update(tx.tx_id for tx in block.txs)
+        return block
 
     def approve_and_append(
         self, block: Block, approvals: Sequence[Approval]
@@ -430,42 +483,15 @@ class Chain:
         returned."""
         if self.config.mode != MODE_QUORUM:
             raise WrongMode("approve_and_append requires quorum mode")
-        self._check_parent(block)
-        self._check_txs(block)
-        bid = block.block_id
-        distinct: set[bytes] = set()
-        for ap in approvals:
-            if ap.validator_pk not in self.config.validators:
-                raise UnknownValidator(
-                    f"approval from unconfigured key {ap.validator_pk.hex()}"
-                )
-            if not crypto.verify(ap.validator_pk, bid, ap.signature):
-                raise BadApprovalSignature(
-                    f"bad approval signature from {ap.validator_pk.hex()}"
-                )
-            distinct.add(ap.validator_pk)
-        if len(distinct) < self.config.quorum_m:
-            raise QuorumNotMet(len(distinct), self.config.quorum_m)
-        accepted = Block(
-            header=block.header, txs=block.txs, approvals=tuple(approvals)
+        return self._append(
+            Block(header=block.header, txs=block.txs, approvals=tuple(approvals))
         )
-        self.blocks.append(accepted)
-        self._tx_ids.update(tx.tx_id for tx in accepted.txs)
-        return accepted
 
     def append_mined(self, block: Block) -> Block:
         """Append under proof-of-work rules: header must meet the target."""
         if self.config.mode != MODE_POW:
             raise WrongMode("append_mined requires pow mode")
-        self._check_parent(block)
-        self._check_txs(block)
-        if not pow_check(block.header, self.config.pow_target_bits):
-            raise PowTargetMissed(
-                f"header does not meet {self.config.pow_target_bits} zero bits"
-            )
-        self.blocks.append(block)
-        self._tx_ids.update(tx.tx_id for tx in block.txs)
-        return block
+        return self._append(block)
 
     def mine_and_append(self, txs: Sequence[Transaction], wall_time: int) -> Block:
         draft = self.build_block(txs, wall_time)
@@ -491,8 +517,10 @@ class Chain:
         lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines:
             raise EmptyChain("refusing to import an empty chain file")
-        blocks = [_block_from_line(ln, i + 1) for i, ln in enumerate(lines)]
-        return cls._from_blocks(config, blocks)
+        chain = cls(config)
+        chain.blocks = [_block_from_line(ln, i + 1) for i, ln in enumerate(lines)]
+        chain._tx_ids = {tx.tx_id for b in chain.blocks for tx in b.txs}
+        return chain
 
     @classmethod
     def import_jsonl(cls, path: str, config: ChainConfig) -> "Chain":
@@ -511,45 +539,13 @@ def verify_chain(blocks: Sequence[Block], config: ChainConfig) -> VerifyResult:
     if not blocks:
         return VerifyResult(False, 0, R_BAD_GENESIS)
     seen: set[bytes] = set()
-    for i, block in enumerate(blocks):
-        h = block.header
-        if h.height != i:
-            return VerifyResult(False, i, R_HEIGHT)
-        if i == 0:
-            if h.prev_hash != ZERO32:
-                return VerifyResult(False, 0, R_BAD_GENESIS)
-        elif h.prev_hash != blocks[i - 1].block_id:
-            return VerifyResult(False, i, R_LINK)
-        if h.tx_count != len(block.txs):
-            return VerifyResult(False, i, R_TX_COUNT)
-        recomputed = [sha256d(tx.signing_bytes()) for tx in block.txs]
-        expected_root = crypto.merkle_root(recomputed) if recomputed else ZERO32
-        if h.merkle_root != expected_root:
-            return VerifyResult(False, i, R_MERKLE)
-        for tx, rid in zip(block.txs, recomputed):
-            if tx.tx_id != rid:
-                return VerifyResult(False, i, R_TX_HASH)
-            if not crypto.verify(tx.author_pk, tx.signing_bytes(), tx.signature):
-                return VerifyResult(False, i, R_TX_SIG)
-            if rid in seen:
-                return VerifyResult(False, i, R_DUP)
-            seen.add(rid)
-        if i == 0:
-            continue
-        if config.mode == MODE_QUORUM:
-            bid = block.block_id
-            distinct: set[bytes] = set()
-            for ap in block.approvals:
-                if ap.validator_pk not in config.validators:
-                    return VerifyResult(False, i, R_UNKNOWN_VAL)
-                if not crypto.verify(ap.validator_pk, bid, ap.signature):
-                    return VerifyResult(False, i, R_APPROVAL_SIG)
-                distinct.add(ap.validator_pk)
-            if len(distinct) < config.quorum_m:
-                return VerifyResult(False, i, R_QUORUM)
-        else:
-            if not pow_check(h, config.pow_target_bits):
-                return VerifyResult(False, i, R_POW)
+    parent_id = ZERO32
+    for height, block in enumerate(blocks):
+        reason = validate_block(block, parent_id, height, seen, config)
+        if reason is not None:
+            return VerifyResult(False, height, reason)
+        seen.update(tx.tx_id for tx in block.txs)
+        parent_id = block.block_id
     return VerifyResult(True)
 
 

@@ -7,13 +7,13 @@ lowercase hex characters wherever they leave the process.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
 from typing import Any, Sequence
 
 from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives import serialization
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
@@ -158,22 +158,23 @@ class KeyPair:
     public: bytes
 
 
+# Loading a key costs about as much as signing with it; ledgers sign with
+# a handful of operator keys.
+_private_key = functools.lru_cache(maxsize=32)(Ed25519PrivateKey.from_private_bytes)
+
+
 def keygen(seed: bytes) -> KeyPair:
     """Derive a keypair from a 32-byte seed. Same seed, same keys."""
     if not isinstance(seed, bytes) or len(seed) != SEED_LEN:
         raise BadSeed(f"seed must be exactly {SEED_LEN} bytes")
-    sk = Ed25519PrivateKey.from_private_bytes(seed)
-    pk = sk.public_key().public_bytes(
-        serialization.Encoding.Raw, serialization.PublicFormat.Raw
-    )
-    return KeyPair(secret=seed, public=pk)
+    return KeyPair(secret=seed, public=_private_key(seed).public_key().public_bytes_raw())
 
 
 def sign(secret: bytes, message: bytes) -> bytes:
     """Sign message bytes with a 32-byte secret seed. 64-byte signature."""
     if not isinstance(secret, bytes) or len(secret) != SEED_LEN:
         raise BadSeed(f"secret must be exactly {SEED_LEN} bytes")
-    return Ed25519PrivateKey.from_private_bytes(secret).sign(message)
+    return _private_key(secret).sign(message)
 
 
 def verify(public: bytes, message: bytes, signature: bytes) -> bool:

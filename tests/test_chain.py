@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import struct
 from dataclasses import replace
 
@@ -205,6 +206,15 @@ class TestBuildBlock:
         c = Chain(quorum_config())
         with pytest.raises(ch.ChainError):
             c.build_block([], wall_time=1)
+
+    def test_empty_block_rejected_on_append_and_verify(self):
+        c = Chain(quorum_config())
+        empty = Block(BlockHeader(1, c.tip.block_id, ZERO32, 1, 0, 0), ())
+        approvals = approve(empty, VALIDATORS[:2])
+        with pytest.raises(ch.ChainError):
+            c.approve_and_append(empty, approvals)
+        c.blocks.append(Block(empty.header, (), tuple(approvals)))
+        assert c.verify() == ch.VerifyResult(False, 1, ch.R_EMPTY)
 
 
 class TestQuorumAppend:
@@ -445,3 +455,114 @@ class TestExportImport:
         obj = _json.loads(line)
         for key in ("prev_hash", "merkle_root", "block_id"):
             assert obj[key] == obj[key].lower() and len(obj[key]) == 64
+
+
+def _flip_first(raw: bytes) -> bytes:
+    return bytes([raw[0] ^ 1]) + raw[1:]
+
+
+TAMPER = {
+    "kind": lambda t: t.kind + "-edited",
+    "payload": lambda t: crypto.canonical_json({"n": -1, "memo": "edited"}),
+    "author_pk": lambda t: OUTSIDER.public,
+    "signature": lambda t: _flip_first(t.signature),
+    "tx_id": lambda t: _flip_first(t.tx_id),
+}
+
+
+class TestVerifyOnce:
+    """Ed25519 checks each transaction once per object; edits still fail."""
+
+    @pytest.fixture
+    def author_verifies(self, monkeypatch):
+        calls = []
+        real = crypto.verify
+
+        def counting(public, message, signature):
+            if public == AUTHOR.public:
+                calls.append(message)
+            return real(public, message, signature)
+
+        monkeypatch.setattr(crypto, "verify", counting)
+        return calls
+
+    def test_one_verify_per_tx_from_build_to_verify_chain(self, author_verifies):
+        c = Chain(quorum_config())
+        batch = [tx(i) for i in range(3)]
+        b = c.build_block(batch, wall_time=1)
+        c.approve_and_append(b, approve(b, VALIDATORS[:2]))
+        assert c.verify().valid
+        assert len(author_verifies) == len(batch)
+
+    def test_pow_append_verifies_each_tx_once(self, author_verifies):
+        c = Chain(ChainConfig(mode="pow", pow_target_bits=4))
+        c.mine_and_append([tx(0), tx(1)], wall_time=10)
+        assert c.verify().valid
+        assert len(author_verifies) == 2
+
+    def test_imported_chain_pays_one_verify_per_tx(self, author_verifies):
+        c = Chain(quorum_config())
+        grow(c, 3)
+        author_verifies.clear()
+        imported = Chain.from_jsonl(c.to_jsonl(), c.config)
+        assert imported.verify().valid
+        assert len(author_verifies) == 6
+
+    @pytest.mark.parametrize(
+        "name, reason",
+        [
+            ("kind", ch.R_MERKLE),
+            ("payload", ch.R_MERKLE),
+            ("author_pk", ch.R_MERKLE),
+            ("signature", ch.R_TX_SIG),
+            ("tx_id", ch.R_TX_HASH),
+        ],
+    )
+    def test_verified_tx_mutated_in_place_is_rejected(self, name, reason):
+        c = Chain(quorum_config())
+        grow(c, 3)
+        assert c.verify().valid
+        victim = c.blocks[2].txs[1]
+        object.__setattr__(victim, name, TAMPER[name](victim))
+        assert not victim.verify()
+        assert c.verify() == ch.VerifyResult(False, 2, reason)
+
+    def test_tampered_replace_copy_is_rejected(self):
+        c = Chain(quorum_config())
+        grow(c, 3)
+        assert c.verify().valid
+        victim = c.blocks[2]
+        hurt = replace(victim.txs[0], signature=_flip_first(victim.txs[0].signature))
+        c.blocks[2] = Block(victim.header, (hurt,) + victim.txs[1:], victim.approvals)
+        assert not hurt.verify()
+        assert c.verify() == ch.VerifyResult(False, 2, ch.R_TX_SIG)
+
+    def test_deepcopy_is_verified_again_and_tamper_is_rejected(self, author_verifies):
+        c = Chain(quorum_config())
+        grow(c, 3)
+        assert c.verify().valid
+        author_verifies.clear()
+        blocks = copy.deepcopy(c.blocks)
+        assert verify_chain(blocks, c.config).valid
+        assert len(author_verifies) == 6
+        victim = blocks[3].txs[0]
+        object.__setattr__(victim, "signature", TAMPER["signature"](victim))
+        assert verify_chain(blocks, c.config) == ch.VerifyResult(False, 3, ch.R_TX_SIG)
+        assert c.verify().valid
+
+    def test_header_mutated_in_place_is_hashed_again(self):
+        c = Chain(quorum_config())
+        grow(c, 3)
+        assert c.verify().valid
+        object.__setattr__(c.blocks[2].header, "wall_time", 1)
+        assert c.verify() == ch.VerifyResult(False, 2, ch.R_APPROVAL_SIG)
+
+    @pytest.mark.parametrize("name", sorted(TAMPER))
+    def test_verified_tx_mutated_before_append_is_rejected(self, name):
+        c = Chain(quorum_config())
+        t = tx(0)
+        b = c.build_block([t], wall_time=1)
+        object.__setattr__(t, name, TAMPER[name](t))
+        with pytest.raises(BadTxSignature):
+            c.approve_and_append(b, approve(b, VALIDATORS[:2]))
+        assert c.height == 0
