@@ -366,38 +366,13 @@ HANDLERS: dict[str, Callable[[ScenarioState, dict], dict]] = {
     "invoke": _op_invoke,
 }
 
-# domain errors a scenario may declare with expect_error
-_EXPECTED_ERRORS: dict[str, type[Exception]] = {
-    cls.__name__: cls
-    for cls in (
-        tsa_mod.DuplicateId,
-        tsa_mod.UnknownAccount,
-        tsa_mod.CapMissing,
-        tsa_mod.SecondMain,
-        tsa_mod.NonPositiveAmount,
-        tsa_mod.Overdraft,
-        escrow_mod.DuplicateKey,
-        escrow_mod.FeeTooLarge,
-        escrow_mod.InsufficientFunds,
-        escrow_mod.NotParty,
-        escrow_mod.BadSignature,
-        escrow_mod.AlreadyFinal,
-        escrow_mod.ConflictingSignature,
-        escrow_mod.NotReady,
-        contracts_mod.UnknownCode,
-        contracts_mod.UnknownAddress,
-        contracts_mod.InvalidParams,
-        contracts_mod.OutOfSteps,
-        contracts_mod.Dead,
-        contracts_mod.ContractError,
-        bank.UnknownBook,
-        bank.UnknownAccount,
-        bank.NonPositiveAmount,
-        bank.UnbalancedEntry,
-        bank.InvalidProbability,
-        bank.FullyDepreciated,
-    )
-}
+# names of the domain errors a scenario may declare with expect_error: the
+# direct subclasses of the base error of each module the ops drive
+_EXPECTED_ERRORS: frozenset[str] = frozenset(
+    cls.__name__
+    for base in (tsa_mod.TsaError, escrow_mod.EscrowError, contracts_mod.ContractsError, bank.BankLedgerError)
+    for cls in base.__subclasses__()
+)
 
 
 def _check_expected(line_no: int, expected: dict, actual: dict) -> None:

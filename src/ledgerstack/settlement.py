@@ -21,12 +21,13 @@ per-day series plateaus at exactly L * N.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 from . import chain as chain_mod
 from .chain import Chain, ChainConfig, Transaction
-from .crypto import KeyPair, keygen, sign
+from .crypto import keygen, sign
 
 BUY = "buy"
 SELL = "sell"
@@ -109,111 +110,73 @@ class Trade:
         return self.quantity * self.price
 
 
-@dataclass
+@dataclass(order=True)
 class _Resting:
-    order: Order
-    remaining: int
-    seq: int
+    priority: tuple[int, int]  # (price, seq) for asks, (-price, seq) for bids
+    order: Order = field(compare=False)
+    remaining: int = field(compare=False)
 
 
 class OrderBook:
-    """Price-time priority book, one instance covering all assets."""
+    """Price-time priority book, one instance covering all assets.
+
+    Each (asset, side) queue is kept sorted best first: lowest ask or
+    highest bid, then oldest.
+    """
 
     def __init__(self):
-        self._bids: dict[str, list[_Resting]] = {}
-        self._asks: dict[str, list[_Resting]] = {}
+        self._queues: dict[tuple[str, str], list[_Resting]] = {}
         self._seq = 0
         self._trade_seq = 0
 
-    def _next_trade_id(self) -> str:
-        self._trade_seq += 1
-        return f"T{self._trade_seq:06d}"
-
     def depth(self, asset: str) -> tuple[int, int]:
-        bids = self._bids.get(asset, [])
-        asks = self._asks.get(asset, [])
+        bids, asks = (self._queues.get((asset, side), []) for side in (BUY, SELL))
         return (sum(r.remaining for r in bids), sum(r.remaining for r in asks))
 
     def match(self, order: Order) -> list[Trade]:
         """Match an incoming order; the unfilled remainder rests.
 
         Crossing executes at the resting order's price. Better prices fill
-        first; ties fill oldest first. A member never crosses with itself.
+        first; ties fill oldest first. A member never crosses with itself:
+        its own resting orders are passed over and stay resting.
         """
         self._seq += 1
-        incoming = _Resting(order, order.quantity, self._seq)
-        book_side = self._asks if order.side == BUY else self._bids
-        rest_side = self._bids if order.side == BUY else self._asks
-        queue = book_side.setdefault(order.asset, [])
+        buy = order.side == BUY
+        queue = self._queues.get((order.asset, SELL if buy else BUY), [])
+        remaining = order.quantity
         trades: list[Trade] = []
-        while incoming.remaining > 0 and queue:
-            # best: lowest ask / highest bid, then earliest
-            if order.side == BUY:
-                best = min(queue, key=lambda r: (r.order.price, r.seq))
-                crosses = best.order.price <= order.price
-            else:
-                best = max(queue, key=lambda r: (r.order.price, -r.seq))
-                crosses = best.order.price >= order.price
+        i = 0
+        while remaining and i < len(queue):
+            resting = queue[i]
+            price = resting.order.price
+            crosses = price <= order.price if buy else price >= order.price
             if not crosses:
                 break
-            if best.order.member == order.member:
-                # skip own resting orders but keep them in the book
-                others = [r for r in queue if r is not best]
-                self._match_against(incoming, others, order, trades)
-                break
-            self._fill(incoming, best, order, trades)
-            if best.remaining == 0:
-                queue.remove(best)
-        if incoming.remaining > 0:
-            rest_side.setdefault(order.asset, []).append(incoming)
-        return trades
-
-    def _match_against(
-        self,
-        incoming: _Resting,
-        queue: list[_Resting],
-        order: Order,
-        trades: list[Trade],
-    ) -> None:
-        while incoming.remaining > 0 and queue:
-            if order.side == BUY:
-                best = min(queue, key=lambda r: (r.order.price, r.seq))
-                crosses = best.order.price <= order.price
-            else:
-                best = max(queue, key=lambda r: (r.order.price, -r.seq))
-                crosses = best.order.price >= order.price
-            if not crosses:
-                break
-            self._fill(incoming, best, order, trades)
-            if best.remaining == 0:
-                queue.remove(best)
-                for side in (self._bids, self._asks):
-                    rows = side.get(order.asset, [])
-                    if best in rows:
-                        rows.remove(best)
-
-    def _fill(
-        self, incoming: _Resting, resting: _Resting, order: Order, trades: list[Trade]
-    ) -> None:
-        qty = min(incoming.remaining, resting.remaining)
-        price = resting.order.price
-        if order.side == BUY:
-            buyer, seller = order.member, resting.order.member
-        else:
-            buyer, seller = resting.order.member, order.member
-        trades.append(
-            Trade(
-                id=self._next_trade_id(),
-                buyer=buyer,
-                seller=seller,
-                asset=order.asset,
-                quantity=qty,
-                price=price,
-                trade_day=order.day,
+            if resting.order.member == order.member:
+                i += 1
+                continue
+            qty = min(remaining, resting.remaining)
+            self._trade_seq += 1
+            trades.append(
+                Trade(
+                    id=f"T{self._trade_seq:06d}",
+                    buyer=order.member if buy else resting.order.member,
+                    seller=resting.order.member if buy else order.member,
+                    asset=order.asset,
+                    quantity=qty,
+                    price=price,
+                    trade_day=order.day,
+                )
             )
-        )
-        incoming.remaining -= qty
-        resting.remaining -= qty
+            remaining -= qty
+            resting.remaining -= qty
+            if not resting.remaining:
+                del queue[i]
+        if remaining:
+            priority = (-order.price if buy else order.price, self._seq)
+            queue = self._queues.setdefault((order.asset, order.side), [])
+            insort(queue, _Resting(priority, order, remaining))
+        return trades
 
 
 def match_orders(book: OrderBook, order: Order) -> list[Trade]:
@@ -505,6 +468,11 @@ class CycleConfig:
         if self.leg_mode not in (DVP, FOP):
             raise SettlementError(f"unknown leg mode {self.leg_mode!r}")
 
+    @property
+    def hub(self) -> str | None:
+        """The counterparty every member settles against, if the mode has one."""
+        return {MODE_CCP: self.ccp_id, MODE_CONSORTIUM: self.pool_id}.get(self.mode)
+
 
 @dataclass
 class CycleReport:
@@ -536,349 +504,297 @@ class CycleReport:
         }
 
 
-def _position_obligations(
-    positions: Sequence[NetPosition],
-    hub: str,
-    due_day: int,
-    trade_day: int,
-    leg_mode: str,
-    next_id,
-    next_cash_id,
-) -> tuple[list[SettlementInstruction], list[CashTransfer]]:
-    """Decompose net positions into instructions against the hub.
-
-    A member that net-bought (receives assets, owes cash) pairs into one
-    dvp instruction from the hub; a member that net-sold pairs into one
-    dvp instruction to the hub. Residual same-sign combinations split into
-    an asset-only instruction plus a cash transfer.
-    """
-    instructions: list[SettlementInstruction] = []
-    transfers: list[CashTransfer] = []
-    for pos in positions:
-        if pos.member == hub:
-            continue
-        qty, cash = pos.net_quantity, pos.net_cash
-        if qty > 0 and cash <= 0:
-            kwargs = dict(cash=-cash, unpaid_cash=0)
-            if leg_mode == FOP:
-                kwargs = dict(cash=0, unpaid_cash=-cash)
-            instructions.append(
-                SettlementInstruction(
-                    id=next_id(),
-                    from_member=hub,
-                    to_member=pos.member,
-                    asset=pos.asset,
-                    quantity=qty,
-                    mode=leg_mode,
-                    trade_day=trade_day,
-                    due_day=due_day,
-                    **kwargs,
-                )
-            )
-        elif qty < 0 and cash >= 0:
-            kwargs = dict(cash=cash, unpaid_cash=0)
-            if leg_mode == FOP:
-                kwargs = dict(cash=0, unpaid_cash=cash)
-            instructions.append(
-                SettlementInstruction(
-                    id=next_id(),
-                    from_member=pos.member,
-                    to_member=hub,
-                    asset=pos.asset,
-                    quantity=-qty,
-                    mode=leg_mode,
-                    trade_day=trade_day,
-                    due_day=due_day,
-                    **kwargs,
-                )
-            )
-        else:
-            # residual combinations: split into separate legs
-            if qty != 0:
-                src, dst = (hub, pos.member) if qty > 0 else (pos.member, hub)
-                instructions.append(
-                    SettlementInstruction(
-                        id=next_id(),
-                        from_member=src,
-                        to_member=dst,
-                        asset=pos.asset,
-                        quantity=abs(qty),
-                        cash=0,
-                        mode=DVP,
-                        trade_day=trade_day,
-                        due_day=due_day,
-                    )
-                )
-            if cash != 0:
-                src, dst = (pos.member, hub) if cash < 0 else (hub, pos.member)
-                transfers.append(
-                    CashTransfer(
-                        id=next_cash_id(),
-                        from_member=src,
-                        to_member=dst,
-                        amount=abs(cash),
-                        due_day=due_day,
-                    )
-                )
-    return instructions, transfers
-
-
 def run_cycle(trades: Sequence[Trade], config: CycleConfig) -> CycleReport:
-    """Run the full lifecycle over three chains and report exposure."""
+    """Run the full lifecycle over three chains and report exposure.
+
+    Each day records its trades on the exchange chain, clears the
+    finalized block into obligations on the clearing chain, settles what
+    is due on the settlement chain, and reports its end-of-day exposure.
+    The caller's trades are left unchanged.
+    """
     if not trades:
         raise SettlementError("run_cycle needs at least one trade")
-    operator = keygen(config.operator_seed)
-    chain_cfg = ChainConfig(mode="quorum", validators=(operator.public,), quorum_m=1)
-    chains = {
-        "exchange": Chain(chain_cfg),
-        "clearing": Chain(chain_cfg),
-        "settlement": Chain(chain_cfg),
-    }
-    # Pre-fund gross obligations so settlement succeeds unless the caller
-    # pins holdings explicitly; hubs are funded for both sides.
-    holdings: Holdings = new_holdings()
-    if config.initial_holdings is not None:
-        for member, entry in config.initial_holdings.items():
-            fund(holdings, member, int(entry.get("cash", 0)), entry.get("assets", {}))
-    else:
-        hub = {MODE_CCP: config.ccp_id, MODE_CONSORTIUM: config.pool_id}.get(config.mode)
-        for t in trades:
-            fund(holdings, t.seller, assets={t.asset: t.quantity})
-            fund(holdings, t.buyer, cash=t.notional)
-            if hub:
-                fund(holdings, hub, cash=t.notional, assets={t.asset: t.quantity})
-
     by_day: dict[int, list[Trade]] = {}
     for t in sorted(trades, key=lambda t: (t.trade_day, t.id)):
         if t.superseded:
             raise SettlementError(f"trade {t.id!r} is already superseded")
         by_day.setdefault(t.trade_day, []).append(t)
-    first_day = min(by_day)
-    horizon = max(by_day) + config.lag_days
-
-    counters = {"instr": 0, "cash": 0}
-
-    def next_id() -> str:
-        counters["instr"] += 1
-        return f"I{counters['instr']:05d}"
-
-    def next_cash_id() -> str:
-        counters["cash"] += 1
-        return f"C{counters['cash']:05d}"
-
-    def seal(which: str, kinds_payloads: list[tuple[str, dict]], day: int) -> Any:
-        target = chains[which]
-        txs = [Transaction.create(kind, payload, operator) for kind, payload in kinds_payloads]
-        block = target.build_block(txs, wall_time=day)
-        approval = chain_mod.Approval(operator.public, sign(operator.secret, block.block_id))
-        return target.approve_and_append(block, [approval])
-
-    net_contract = None
-    if config.mode == MODE_CONSORTIUM:
-        # Netting is administered through the deployed netting contract.
-        from . import contracts as contracts_mod  # lazy: contracts imports this module
-
-        net_contract = contracts_mod.ContractState()
-        budget = contracts_mod.StepBudget(limit=100)
-        net_addr = net_contract.deploy("net", {}, budget, height=0)
-
-    report = CycleReport(mode=config.mode, lag_days=config.lag_days)
-    all_instructions: list[SettlementInstruction] = []
-    all_transfers: list[CashTransfer] = []
-    live_trades: list[Trade] = []
-
-    for day in range(first_day, horizon + 1):
+    cycle = _Cycle(config, _opening_holdings(trades, config))
+    days: list[dict[str, Any]] = []
+    for day in range(min(by_day), max(by_day) + config.lag_days + 1):
         todays = by_day.get(day, [])
-        created: list[SettlementInstruction] = []
-        created_transfers: list[CashTransfer] = []
-        if todays:
-            exchange_block = seal(
-                "exchange",
-                [
-                    (
-                        "trade",
-                        {
-                            "id": t.id,
-                            "buyer": t.buyer,
-                            "seller": t.seller,
-                            "asset": t.asset,
-                            "quantity": t.quantity,
-                            "price": t.price,
-                            "trade_day": t.trade_day,
-                        },
-                    )
-                    for t in todays
-                ],
-                day,
-            )
-            # The finalized exchange block drives clearing.
-            block_trades = [tx.payload_obj() for tx in exchange_block.txs]
-            due = day + config.lag_days
-            clearing_payloads: list[tuple[str, dict]] = []
-            if config.mode == MODE_BILATERAL:
-                for bt in block_trades:
-                    notional = bt["quantity"] * bt["price"]
-                    kwargs = dict(cash=notional, unpaid_cash=0)
-                    if config.leg_mode == FOP:
-                        kwargs = dict(cash=0, unpaid_cash=notional)
-                    created.append(
-                        SettlementInstruction(
-                            id=next_id(),
-                            from_member=bt["seller"],
-                            to_member=bt["buyer"],
-                            asset=bt["asset"],
-                            quantity=bt["quantity"],
-                            mode=config.leg_mode,
-                            trade_day=day,
-                            due_day=due,
-                            **kwargs,
-                        )
-                    )
-                clearing_payloads = [
-                    ("gross_obligation", {"instruction": i.id, "cash": i.notional, "day": day})
-                    for i in created
-                ]
-            else:
-                hub = config.ccp_id if config.mode == MODE_CCP else config.pool_id
-                if config.mode == MODE_CCP:
-                    legs: list[Trade] = []
-                    for t in todays:
-                        s_leg, b_leg = novate(t, hub)
-                        legs.extend((s_leg, b_leg))
-                    live_trades.extend(legs)
-                    positions = net_positions(legs)
-                else:
-                    if net_contract is not None:
-                        budget = contracts_mod.StepBudget(limit=10_000)
-                        rows = net_contract.invoke(
-                            net_addr, "net", {"trades": block_trades}, budget
-                        )["positions"]
-                    else:  # pragma: no cover - consortium always has the contract
-                        rows = net_over_dicts(block_trades)
-                    positions = [
-                        NetPosition(r["member"], r["asset"], r["net_quantity"], r["net_cash"])
-                        for r in rows
-                    ]
-                    live_trades.extend(todays)
-                created, created_transfers = _position_obligations(
-                    positions, hub, due, day, config.leg_mode, next_id, next_cash_id
-                )
-                clearing_payloads = [
-                    (
-                        "net_position",
-                        {
-                            "member": p.member,
-                            "asset": p.asset,
-                            "net_quantity": p.net_quantity,
-                            "net_cash": p.net_cash,
-                            "day": day,
-                        },
-                    )
-                    for p in positions
-                ]
-            if config.mode == MODE_BILATERAL:
-                live_trades.extend(todays)
-            if clearing_payloads:
-                seal("clearing", clearing_payloads, day)
-            all_instructions.extend(created)
-            all_transfers.extend(created_transfers)
-
-        # Settle whatever is due (or failed earlier and is being retried).
-        settlement_payloads: list[tuple[str, dict]] = []
-        for instr in created:
-            settlement_payloads.append(
-                (
-                    "settle_instruction",
-                    {
-                        "id": instr.id,
-                        "from": instr.from_member,
-                        "to": instr.to_member,
-                        "asset": instr.asset,
-                        "quantity": instr.quantity,
-                        "cash": instr.cash,
-                        "unpaid_cash": instr.unpaid_cash,
-                        "mode": instr.mode,
-                        "due_day": instr.due_day,
-                    },
-                )
-            )
-        settled_today = failed_today = 0
-        for instr in all_instructions:
-            if instr.status == SETTLED or instr.due_day > day:
-                continue
-            result = settle_dvp(holdings, instr) if instr.mode == DVP else settle_fop(holdings, instr)
-            if result.status == SETTLED:
-                settled_today += 1
-            else:
-                failed_today += 1
-            settlement_payloads.append(
-                (
-                    "settle_result",
-                    {"id": instr.id, "status": result.status, "reason": result.reason, "day": day},
-                )
-            )
-        for transfer in all_transfers:
-            if transfer.status == SETTLED or transfer.due_day > day:
-                continue
-            ok = transfer.apply(holdings)
-            settlement_payloads.append(
-                (
-                    "settle_result",
-                    {"id": transfer.id, "status": transfer.status, "reason": None if ok else INSUFFICIENT_CASH, "day": day},
-                )
-            )
-        if settlement_payloads:
-            seal("settlement", settlement_payloads, day)
-
-        pending = [i for i in all_instructions if i.status != SETTLED]
-        pending_cash = [t for t in all_transfers if t.status != SETTLED]
-        exposure = sum(i.notional for i in pending) + sum(t.amount for t in pending_cash)
-        report.exposure_series.append(exposure)
-        report.days.append(
+        created, transfers = cycle.clear(day, cycle.record(day, todays)) if todays else ([], [])
+        settled, failed = cycle.settle(day, created)
+        days.append(
             {
                 "day": day,
                 "trades": len(todays),
-                "instructions_created": len(created) + len(created_transfers),
-                "settled": settled_today,
-                "failed": failed_today,
-                "pending_eod": len(pending) + len(pending_cash),
-                "exposure_eod": exposure,
+                "instructions_created": len(created) + len(transfers),
+                "settled": settled,
+                "failed": failed,
+                "pending_eod": len(cycle.open_instructions) + len(cycle.open_transfers),
+                "exposure_eod": cycle.exposure(),
             }
         )
+    return cycle.report(trades, days)
 
-    positions_all = net_positions(live_trades)
-    report.exposure_total = sum(report.exposure_series)
-    # gross is pre-netting economics; novation preserves quantity and price,
-    # so sum over the input trades regardless of superseded flags
-    report.gross_obligations = sum(t.quantity + t.notional for t in trades)
-    report.net_obligations = net_obligation_sum(positions_all)
-    report.chains = {
-        name: {"blocks": len(c.blocks), "txs": sum(len(b.txs) for b in c.blocks)}
-        for name, c in chains.items()
-    }
-    counts: dict[str, int] = {}
-    for instr in all_instructions:
-        counts[instr.status] = counts.get(instr.status, 0) + 1
-    for transfer in all_transfers:
-        counts[transfer.status] = counts.get(transfer.status, 0) + 1
-    report.instruction_counts = dict(sorted(counts.items()))
-    report.unpaid_deliveries = [
-        {"id": i.id, "payer": i.to_member, "payee": i.from_member, "amount": i.unpaid_cash}
-        for i in all_instructions
-        if i.mode == FOP and i.status == SETTLED and not i.cash_paid and i.unpaid_cash
-    ]
-    report.final_holdings = {
-        member: {
-            "cash": entry["cash"],
-            "assets": dict(sorted(entry["assets"].items())),
-        }
-        for member, entry in sorted(holdings.items())
-    }
-    for name, c in chains.items():
-        result = c.verify()
-        if not result.valid:  # pragma: no cover - defensive
-            raise SettlementError(f"{name} chain failed verification: {result}")
-    return report
+
+def _opening_holdings(trades: Sequence[Trade], config: CycleConfig) -> Holdings:
+    """The caller's pinned holdings, else gross obligations pre-funded so
+    settlement succeeds; hubs are funded for both sides."""
+    holdings: Holdings = new_holdings()
+    if config.initial_holdings is not None:
+        for member, entry in config.initial_holdings.items():
+            fund(holdings, member, int(entry.get("cash", 0)), entry.get("assets", {}))
+        return holdings
+    for t in trades:
+        fund(holdings, t.seller, assets={t.asset: t.quantity})
+        fund(holdings, t.buyer, cash=t.notional)
+        if config.hub:
+            fund(holdings, config.hub, cash=t.notional, assets={t.asset: t.quantity})
+    return holdings
+
+
+class _Cycle:
+    """One run of the cycle: its three chains, holdings and obligations.
+
+    `instructions` and `transfers` hold every obligation ever created;
+    the open lists hold those not yet settled. All four keep creation
+    order, which decides which instruction meets short holdings first.
+    """
+
+    def __init__(self, config: CycleConfig, holdings: Holdings):
+        self.config = config
+        self.holdings = holdings
+        self.operator = keygen(config.operator_seed)
+        chain_cfg = ChainConfig(mode="quorum", validators=(self.operator.public,), quorum_m=1)
+        self.chains = {name: Chain(chain_cfg) for name in ("exchange", "clearing", "settlement")}
+        self.instructions: list[SettlementInstruction] = []
+        self.transfers: list[CashTransfer] = []
+        self.open_instructions: list[SettlementInstruction] = []
+        self.open_transfers: list[CashTransfer] = []
+        if config.mode == MODE_CONSORTIUM:
+            # Netting is administered through the deployed netting contract.
+            from . import contracts  # lazy: contracts imports this module
+
+            self.net_contract = contracts.ContractState()
+            self.net_addr = self.net_contract.deploy("net", {}, contracts.StepBudget(limit=100), height=0)
+
+    def _seal(self, which: str, kinds_payloads: list[tuple[str, dict]], day: int) -> Any:
+        target = self.chains[which]
+        txs = [Transaction.create(kind, payload, self.operator) for kind, payload in kinds_payloads]
+        block = target.build_block(txs, wall_time=day)
+        approval = chain_mod.Approval(self.operator.public, sign(self.operator.secret, block.block_id))
+        return target.approve_and_append(block, [approval])
+
+    def record(self, day: int, todays: list[Trade]) -> list[dict[str, Any]]:
+        """Seal the day's trades on the exchange chain and read them back
+        from the finalized block, which is what drives clearing."""
+        block = self._seal(
+            "exchange",
+            [
+                (
+                    "trade",
+                    {
+                        "id": t.id,
+                        "buyer": t.buyer,
+                        "seller": t.seller,
+                        "asset": t.asset,
+                        "quantity": t.quantity,
+                        "price": t.price,
+                        "trade_day": t.trade_day,
+                    },
+                )
+                for t in todays
+            ],
+            day,
+        )
+        return [tx.payload_obj() for tx in block.txs]
+
+    def clear(
+        self, day: int, block_trades: list[dict[str, Any]]
+    ) -> tuple[list[SettlementInstruction], list[CashTransfer]]:
+        """Turn a finalized exchange block into obligations due after the
+        lag, seal them on the clearing chain and return the new ones."""
+        first_instruction, first_transfer = len(self.instructions), len(self.transfers)
+        if self.config.mode == MODE_BILATERAL:
+            leg_mode = self.config.leg_mode
+            for bt in block_trades:
+                qty, notional = bt["quantity"], bt["quantity"] * bt["price"]
+                self._instruct(day, bt["seller"], bt["buyer"], bt["asset"], qty, notional, leg_mode)
+            payloads = [
+                ("gross_obligation", {"instruction": i.id, "cash": i.notional, "day": day})
+                for i in self.instructions[first_instruction:]
+            ]
+        else:
+            positions = self._net(block_trades)
+            for pos in positions:
+                self._obligate(day, pos)
+            payloads = [
+                (
+                    "net_position",
+                    {
+                        "member": p.member,
+                        "asset": p.asset,
+                        "net_quantity": p.net_quantity,
+                        "net_cash": p.net_cash,
+                        "day": day,
+                    },
+                )
+                for p in positions
+            ]
+        if payloads:
+            self._seal("clearing", payloads, day)
+        return self.instructions[first_instruction:], self.transfers[first_transfer:]
+
+    def _net(self, block_trades: list[dict[str, Any]]) -> list[NetPosition]:
+        if self.config.mode == MODE_CCP:
+            # novate fresh Trade objects rebuilt from the block, never the caller's
+            legs: list[Trade] = []
+            for bt in block_trades:
+                legs.extend(novate(Trade(**bt), self.config.ccp_id))
+            return net_positions(legs)
+        from . import contracts
+
+        budget = contracts.StepBudget(limit=10_000)
+        rows = self.net_contract.invoke(self.net_addr, "net", {"trades": block_trades}, budget)
+        return [NetPosition(**r) for r in rows["positions"]]
+
+    def _obligate(self, day: int, pos: NetPosition) -> None:
+        """Decompose one net position into obligations against the hub.
+
+        A member that net-bought (receives assets, owes cash) gets one
+        instruction from the hub; a member that net-sold, one to the hub.
+        Residual same-sign combinations split into an asset-only dvp
+        instruction plus a cash transfer.
+        """
+        hub, member, qty, cash = self.config.hub, pos.member, pos.net_quantity, pos.net_cash
+        if member == hub:
+            return
+        if qty > 0 and cash <= 0:
+            self._instruct(day, hub, member, pos.asset, qty, -cash, self.config.leg_mode)
+        elif qty < 0 and cash >= 0:
+            self._instruct(day, member, hub, pos.asset, -qty, cash, self.config.leg_mode)
+        else:
+            if qty:
+                src, dst = (hub, member) if qty > 0 else (member, hub)
+                self._instruct(day, src, dst, pos.asset, abs(qty), 0, DVP)
+            if cash:
+                src, dst = (member, hub) if cash < 0 else (hub, member)
+                transfer = CashTransfer(
+                    id=f"C{len(self.transfers) + 1:05d}",
+                    from_member=src,
+                    to_member=dst,
+                    amount=abs(cash),
+                    due_day=day + self.config.lag_days,
+                )
+                self.transfers.append(transfer)
+                self.open_transfers.append(transfer)
+
+    def _instruct(
+        self, day: int, src: str, dst: str, asset: str, quantity: int, cash: int, mode: str
+    ) -> None:
+        """Open an instruction: src delivers `quantity` of `asset` to dst,
+        who owes `cash` for it. A dvp instruction pays the cash atomically;
+        a fop one carries it as unpaid_cash."""
+        fop = mode == FOP
+        instr = SettlementInstruction(
+            id=f"I{len(self.instructions) + 1:05d}",
+            from_member=src,
+            to_member=dst,
+            asset=asset,
+            quantity=quantity,
+            cash=0 if fop else cash,
+            unpaid_cash=cash if fop else 0,
+            mode=mode,
+            trade_day=day,
+            due_day=day + self.config.lag_days,
+        )
+        self.instructions.append(instr)
+        self.open_instructions.append(instr)
+
+    def settle(self, day: int, created: list[SettlementInstruction]) -> tuple[int, int]:
+        """Attempt every open obligation that is due, instructions first,
+        each in creation order, and seal the day's new instructions and
+        all outcomes on the settlement chain. Returns the instructions
+        settled and failed today."""
+        payloads: list[tuple[str, dict]] = [
+            (
+                "settle_instruction",
+                {
+                    "id": instr.id,
+                    "from": instr.from_member,
+                    "to": instr.to_member,
+                    "asset": instr.asset,
+                    "quantity": instr.quantity,
+                    "cash": instr.cash,
+                    "unpaid_cash": instr.unpaid_cash,
+                    "mode": instr.mode,
+                    "due_day": instr.due_day,
+                },
+            )
+            for instr in created
+        ]
+        settled = failed = 0
+        for instr in self.open_instructions:
+            if instr.due_day > day:
+                continue
+            result = (settle_dvp if instr.mode == DVP else settle_fop)(self.holdings, instr)
+            if result.status == SETTLED:
+                settled += 1
+            else:
+                failed += 1
+            outcome = {"id": instr.id, "status": result.status, "reason": result.reason, "day": day}
+            payloads.append(("settle_result", outcome))
+        for transfer in self.open_transfers:
+            if transfer.due_day > day:
+                continue
+            reason = None if transfer.apply(self.holdings) else INSUFFICIENT_CASH
+            outcome = {"id": transfer.id, "status": transfer.status, "reason": reason, "day": day}
+            payloads.append(("settle_result", outcome))
+        if payloads:
+            self._seal("settlement", payloads, day)
+        self.open_instructions = [i for i in self.open_instructions if i.status != SETTLED]
+        self.open_transfers = [t for t in self.open_transfers if t.status != SETTLED]
+        return settled, failed
+
+    def exposure(self) -> int:
+        return sum(i.notional for i in self.open_instructions) + sum(t.amount for t in self.open_transfers)
+
+    def report(self, trades: Sequence[Trade], days: list[dict[str, Any]]) -> CycleReport:
+        counts: dict[str, int] = {}
+        for obligation in [*self.instructions, *self.transfers]:
+            counts[obligation.status] = counts.get(obligation.status, 0) + 1
+        for name, c in self.chains.items():
+            result = c.verify()
+            if not result.valid:  # pragma: no cover - defensive
+                raise SettlementError(f"{name} chain failed verification: {result}")
+        series = [row["exposure_eod"] for row in days]
+        return CycleReport(
+            mode=self.config.mode,
+            lag_days=self.config.lag_days,
+            days=days,
+            exposure_series=series,
+            exposure_total=sum(series),
+            # novation preserves members' quantities and prices and the hub
+            # nets flat, so both sums are taken over the input trades
+            gross_obligations=gross_obligation_sum(trades),
+            net_obligations=net_obligation_sum(net_positions(trades)),
+            chains={
+                name: {"blocks": len(c.blocks), "txs": sum(len(b.txs) for b in c.blocks)}
+                for name, c in self.chains.items()
+            },
+            instruction_counts=dict(sorted(counts.items())),
+            unpaid_deliveries=[
+                {"id": i.id, "payer": i.to_member, "payee": i.from_member, "amount": i.unpaid_cash}
+                for i in self.instructions
+                if i.mode == FOP and i.status == SETTLED and not i.cash_paid and i.unpaid_cash
+            ],
+            final_holdings={
+                member: {"cash": entry["cash"], "assets": dict(sorted(entry["assets"].items()))}
+                for member, entry in sorted(self.holdings.items())
+            },
+        )
 
 
 def trades_from_csv(text: str) -> list[Trade]:

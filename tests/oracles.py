@@ -138,3 +138,53 @@ def net_positions_oracle(trades: list[dict]) -> list[dict]:
                     }
                 )
     return rows
+
+
+def match_oracle(orders: list[tuple]) -> tuple[list[tuple], dict[str, tuple[int, int]]]:
+    """Brute-force price-time matching with self-trade prevention.
+
+    `orders` are (member, side, asset, quantity, price, day) tuples in
+    arrival order, side "buy" or "sell". Before every fill the oracle
+    re-sorts every resting order and takes the first one on the other side
+    of the same asset that crosses and belongs to another member; a
+    member's own orders are passed over and stay resting. Fills execute at
+    the resting price. Returns the trades as (id, buyer, seller, asset,
+    quantity, price, day) with ids T000001, ... and, per asset seen, the
+    resting (bid, ask) quantities.
+    """
+    resting: list[list] = []  # [arrival, (member, side, ...), remaining]
+    trades: list[tuple] = []
+    for arrival, order in enumerate(orders):
+        member, side, asset, left, price, day = order
+        buy = side == "buy"
+        while left:
+            resting.sort(key=lambda r: (r[1][4] if r[1][1] == "sell" else -r[1][4], r[0]))
+            fill = next(
+                (
+                    r
+                    for r in resting
+                    if r[2] > 0
+                    and r[1][2] == asset
+                    and r[1][1] != side
+                    and r[1][0] != member
+                    and (r[1][4] <= price if buy else r[1][4] >= price)
+                ),
+                None,
+            )
+            if fill is None:
+                break
+            qty = min(left, fill[2])
+            buyer, seller = (member, fill[1][0]) if buy else (fill[1][0], member)
+            trades.append((f"T{len(trades) + 1:06d}", buyer, seller, asset, qty, fill[1][4], day))
+            left -= qty
+            fill[2] -= qty
+        if left:
+            resting.append([arrival, order, left])
+    depth = {
+        asset: (
+            sum(r[2] for r in resting if r[1][2] == asset and r[1][1] == "buy"),
+            sum(r[2] for r in resting if r[1][2] == asset and r[1][1] == "sell"),
+        )
+        for asset in sorted({o[2] for o in orders})
+    }
+    return trades, depth

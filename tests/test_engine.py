@@ -120,6 +120,36 @@ class TestAssertions:
             engine.run_scenario(text)
         assert e.value.expected == {"ok": True}
 
+    def test_declarable_error_names(self):
+        # adding or renaming a domain error class changes the scenario
+        # vocabulary; that has to be a deliberate edit of this list
+        assert sorted(engine._EXPECTED_ERRORS) == [
+            "AlreadyFinal",
+            "BadSignature",
+            "CapMissing",
+            "ConflictingSignature",
+            "ContractError",
+            "Dead",
+            "DuplicateId",
+            "DuplicateKey",
+            "FeeTooLarge",
+            "FullyDepreciated",
+            "InsufficientFunds",
+            "InvalidParams",
+            "InvalidProbability",
+            "NonPositiveAmount",
+            "NotParty",
+            "NotReady",
+            "OutOfSteps",
+            "Overdraft",
+            "SecondMain",
+            "UnbalancedEntry",
+            "UnknownAccount",
+            "UnknownAddress",
+            "UnknownBook",
+            "UnknownCode",
+        ]
+
 
 class TestBundledScenarios:
     @pytest.mark.parametrize(
