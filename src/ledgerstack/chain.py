@@ -514,7 +514,9 @@ class Chain:
 
     @classmethod
     def from_jsonl(cls, text: str, config: ChainConfig) -> "Chain":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
+        # split on "\n" only: str.splitlines also breaks at U+2028 and other
+        # separators that the writer leaves unescaped inside strings
+        lines = [ln for ln in text.split("\n") if ln.strip()]
         if not lines:
             raise EmptyChain("refusing to import an empty chain file")
         chain = cls(config)
@@ -578,7 +580,7 @@ def _block_to_line(block: Block) -> str:
             for ap in block.approvals
         ],
     }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False) + "\n"
+    return canonical_json(obj).decode("utf-8") + "\n"
 
 
 def _block_from_line(line: str, lineno: int) -> Block:

@@ -26,9 +26,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 from . import crypto
+from . import escrow as escrow_mod
 from .bank_ledger import classify_ifrs9
-from .escrow import DISPOSITIONS as _ESCROW_DISPOSITIONS
-from .escrow import resolve_dispositions
 from .settlement import (
     DVP,
     FOP,
@@ -401,7 +400,7 @@ def _settle_run(ctx: InvokeContext) -> Any:
 
 def _escrow_init(ctx: InvokeContext) -> None:
     keys = {}
-    for role in ("buyer", "seller", "arbiter"):
+    for role in escrow_mod.ROLES:
         value = ctx.args.get(role)
         try:
             raw = bytes.fromhex(value)
@@ -410,57 +409,37 @@ def _escrow_init(ctx: InvokeContext) -> None:
         if len(raw) != 32:
             raise InvalidParams(f"{role} must be a 32-byte key")
         keys[role] = value.lower()
-    if len(set(keys.values())) != 3:
-        raise InvalidParams("buyer, seller, and arbiter keys must be distinct")
     amount = ctx.args.get("amount")
     fee = ctx.args.get("fee", 0)
-    if not isinstance(amount, int) or isinstance(amount, bool) or amount <= 0:
-        raise InvalidParams("amount must be a positive integer")
-    if not isinstance(fee, int) or isinstance(fee, bool) or fee < 0 or fee > amount:
-        raise InvalidParams("fee must be between 0 and amount")
-    for role, value in keys.items():
-        ctx.store(role, value)
-    ctx.store("amount", amount)
-    ctx.store("fee", fee)
-    ctx.store("votes", [])
-    ctx.store("status", "open")
-    ctx.store("outcome", None)
+    try:
+        escrow_mod.check_terms(*keys.values(), amount, fee)
+    except escrow_mod.EscrowError as exc:
+        raise InvalidParams(str(exc)) from None
+    opened = {"amount": amount, "fee": fee, "votes": [], "status": escrow_mod.OPEN, "outcome": None}
+    for key, value in {**keys, **opened}.items():
+        ctx.store(key, value)
+
+
+# cast_vote raises the base EscrowError only for an unknown disposition
+_ESCROW_REASONS = {
+    escrow_mod.AlreadyFinal: "already_final",
+    escrow_mod.EscrowError: "bad_disposition",
+    escrow_mod.NotParty: "not_party",
+    escrow_mod.BadSignature: "bad_signature",
+    escrow_mod.ConflictingSignature: "conflicting_signature",
+}
 
 
 def _escrow_sign(ctx: InvokeContext) -> Any:
-    if ctx.load("status") != "open":
-        raise ContractError("already_final")
-    disposition = ctx.args.get("disposition")
-    if disposition not in _ESCROW_DISPOSITIONS:
-        raise ContractError("bad_disposition")
     signer = str(ctx.args.get("signer", "")).lower()
-    roles = {ctx.load(role): role for role in ("buyer", "seller", "arbiter")}
-    role = roles.get(signer)
-    if role is None:
-        raise ContractError("not_party")
     try:
-        pk = bytes.fromhex(signer)
         signature = bytes.fromhex(ctx.args.get("signature", ""))
-    except ValueError:
-        raise ContractError("bad_signature") from None
-    if not crypto.verify(pk, ctx.address + disposition.encode("utf-8"), signature):
-        raise ContractError("bad_signature")
-    votes: list[list[str]] = ctx.load("votes")
-    for prev_role, prev_disposition in votes:
-        if prev_role == role:
-            if prev_disposition != disposition:
-                raise ContractError("conflicting_signature")
-            return {"status": "open", "votes": len(votes)}
-    votes.append([role, disposition])
-    ctx.store("votes", votes)
-    outcome = resolve_dispositions(
-        [(r, d) for r, d in votes], ctx.load("amount"), ctx.load("fee")
-    )
-    if outcome is None:
-        return {"status": "open", "votes": len(votes)}
-    ctx.store("status", outcome["status"])
-    ctx.store("outcome", outcome)
-    return dict(outcome)
+    except (TypeError, ValueError):
+        signature = b""  # fails verification once the signer is known
+    try:
+        return escrow_mod.cast_vote(ctx, signer, signature, ctx.args.get("disposition"))
+    except escrow_mod.EscrowError as exc:
+        raise ContractError(_ESCROW_REASONS[type(exc)]) from None
 
 
 def _escrow_status(ctx: InvokeContext) -> Any:
@@ -554,9 +533,6 @@ class ContractState:
 
     def __init__(self):
         self._instances: dict[bytes, _Instance] = {}
-
-    def addresses(self) -> list[bytes]:
-        return sorted(self._instances)
 
     def instance_code(self, address: bytes) -> str:
         inst = self._instances.get(address)

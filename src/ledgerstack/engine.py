@@ -38,6 +38,17 @@ class ParseError(EngineError):
         self.line = line
 
 
+class _OpLine(dict):
+    """One scenario line; reading a field it lacks raises ParseError."""
+
+    def __init__(self, doc: dict, line: int):
+        super().__init__(doc)
+        self.line = line
+
+    def __missing__(self, key: str) -> Any:
+        raise ParseError(self.line, f"missing field {key!r}")
+
+
 class AssertionFailed(EngineError):
     def __init__(self, line: int, expected: Any, actual: Any):
         super().__init__(
@@ -200,9 +211,12 @@ def _op_keygen(state: ScenarioState, doc: dict) -> dict:
     return {"name": name, "public": state.keys[name].public.hex()}
 
 
-def _op_fund(state: ScenarioState, doc: dict) -> dict:
+def _op_fund(state: ScenarioState, doc: _OpLine) -> dict:
     pk = state.key(doc["name"]).public
-    state.balances[pk] = state.balances.get(pk, 0) + doc["amount"]
+    amount = doc["amount"]
+    if type(amount) is not int or amount <= 0:  # bool and float are not money
+        raise ParseError(doc.line, f"fund amount must be a positive integer, got {amount!r}")
+    state.balances[pk] = state.balances.get(pk, 0) + amount
     return {"name": doc["name"], "balance": state.balances[pk]}
 
 
@@ -395,6 +409,7 @@ def run_scenario(text: str, name: str = "scenario") -> dict:
             raise ParseError(line_no, f"bad json: {exc.msg}") from None
         if not isinstance(doc, dict) or not isinstance(doc.get("op"), str):
             raise ParseError(line_no, "each line must be an object with an op")
+        doc = _OpLine(doc, line_no)
         handler = HANDLERS.get(doc["op"])
         if handler is None:
             raise ParseError(line_no, f"unknown op {doc['op']!r}")

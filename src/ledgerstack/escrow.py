@@ -14,12 +14,15 @@ side receives amount - fee and the arbiter keeps the fee.
 Balances live in a flat map from key bytes to integer cash; the escrow
 address itself holds the locked amount, so the map total is conserved
 through every state change.
+
+The catalog escrow contract shares these rules: check_terms for opening
+and cast_vote, which touches state only through load/store, for voting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Any, Sequence
 
 from . import crypto
 
@@ -35,6 +38,7 @@ ARBITRATED = "arbitrated"
 BUYER = "buyer"
 SELLER = "seller"
 ARBITER = "arbiter"
+ROLES = (BUYER, SELLER, ARBITER)
 
 
 class EscrowError(Exception):
@@ -50,6 +54,10 @@ class FeeTooLarge(EscrowError):
 
 
 class InsufficientFunds(EscrowError):
+    pass
+
+
+class AlreadyOpen(EscrowError):
     pass
 
 
@@ -74,7 +82,7 @@ class NotReady(EscrowError):
 
 
 def resolve_dispositions(
-    events: Sequence[tuple[str, str]], amount: int, fee: int
+    events: Sequence[Sequence[str]], amount: int, fee: int
 ) -> dict | None:
     """Decide the outcome from verified votes in arrival order.
 
@@ -86,7 +94,7 @@ def resolve_dispositions(
     for role, disposition in events:
         if disposition not in DISPOSITIONS:
             raise EscrowError(f"unknown disposition {disposition!r}")
-        if role not in (BUYER, SELLER, ARBITER):
+        if role not in ROLES:
             raise EscrowError(f"unknown role {role!r}")
         rows = backers.setdefault(disposition, [])
         if role in rows:
@@ -136,6 +144,57 @@ def signing_bytes(address: bytes, disposition: str) -> bytes:
 Balances = dict[bytes, int]
 
 
+def check_terms(buyer: Any, seller: Any, arbiter: Any, amount: Any, fee: Any) -> None:
+    """Reject terms no escrow may hold: shared keys, or money that is not
+    an integer with 0 <= fee <= amount and amount > 0."""
+    if len({buyer, seller, arbiter}) != 3:
+        raise DuplicateKey("buyer, seller, and arbiter keys must be distinct")
+    if type(amount) is not int or amount <= 0:  # bool and float are not money
+        raise EscrowError("escrow amount must be a positive integer")
+    if type(fee) is not int or fee < 0:
+        raise EscrowError("fee must be a non-negative integer")
+    if fee > amount:
+        raise FeeTooLarge(f"fee {fee} exceeds escrow amount {amount}")
+
+
+def cast_vote(state: Any, signer: Any, signature: bytes, disposition: str) -> dict:
+    """Record one party's vote; the second distinct backer of a disposition
+    resolves the escrow. A party may re-sign its own disposition (no-op)
+    but never the opposite one.
+
+    state has an address and load(key)/store(key, value) over status,
+    buyer, seller, arbiter, votes, amount, fee and outcome; signer is a key
+    in the form state stores keys (bytes on an Escrow, lower-case hex in
+    the contract). Every path touches the same keys in the same order, so
+    metered storage charges it a fixed number of steps. Returns the
+    outcome once resolved, else the open status and vote count.
+    """
+    status = state.load("status")
+    if status != OPEN:
+        raise AlreadyFinal(f"escrow is {status}")
+    if disposition not in DISPOSITIONS:
+        raise EscrowError(f"unknown disposition {disposition!r}")
+    role = {state.load(r): r for r in ROLES}.get(signer)
+    if role is None:
+        raise NotParty("signer is not a party to this escrow")
+    pk = signer if isinstance(signer, bytes) else bytes.fromhex(signer)
+    if not crypto.verify(pk, signing_bytes(state.address, disposition), signature):
+        raise BadSignature(f"invalid {disposition} signature from {role}")
+    votes = state.load("votes")
+    previous = dict(votes).get(role, disposition)
+    if previous != disposition:
+        raise ConflictingSignature(f"{role} already signed {previous}")
+    if [role, disposition] not in votes:
+        votes.append([role, disposition])
+        state.store("votes", votes)
+        outcome = resolve_dispositions(votes, state.load("amount"), state.load("fee"))
+        if outcome is not None:
+            state.store("status", outcome["status"])
+            state.store("outcome", outcome)
+            return outcome
+    return {"status": OPEN, "votes": len(votes)}
+
+
 @dataclass
 class Escrow:
     address: bytes
@@ -146,24 +205,14 @@ class Escrow:
     fee: int
     nonce: int
     status: str = OPEN
-    votes: list[tuple[bytes, str]] = field(default_factory=list)
+    votes: list[list[str]] = field(default_factory=list)  # [role, disposition]
     outcome: dict | None = None
 
-    def role_of(self, pk: bytes) -> str | None:
-        if pk == self.buyer_pk:
-            return BUYER
-        if pk == self.seller_pk:
-            return SELLER
-        if pk == self.arbiter_pk:
-            return ARBITER
-        return None
+    def load(self, key: str) -> Any:
+        return getattr(self, f"{key}_pk" if key in ROLES else key)
 
-    def pk_of(self, role: str) -> bytes:
-        return {
-            BUYER: self.buyer_pk,
-            SELLER: self.seller_pk,
-            ARBITER: self.arbiter_pk,
-        }[role]
+    def store(self, key: str, value: Any) -> None:
+        setattr(self, key, value)
 
 
 def open_escrow(
@@ -175,31 +224,22 @@ def open_escrow(
     fee: int,
     nonce: int = 0,
 ) -> Escrow:
-    """Lock the buyer's funds at the escrow address."""
-    if len({buyer_pk, seller_pk, arbiter_pk}) != 3:
-        raise DuplicateKey("buyer, seller, and arbiter keys must be distinct")
-    if amount <= 0:
-        raise EscrowError("escrow amount must be positive")
-    if fee < 0:
-        raise EscrowError("fee must be non-negative")
-    if fee > amount:
-        raise FeeTooLarge(f"fee {fee} exceeds escrow amount {amount}")
+    """Lock the buyer's funds at the escrow address.
+
+    An address already in balances, live or resolved, is refused: the
+    votes signed for it would replay on the new escrow.
+    """
+    check_terms(buyer_pk, seller_pk, arbiter_pk, amount, fee)
+    address = derive_address(buyer_pk, seller_pk, arbiter_pk, amount, fee, nonce)
+    if address in balances:
+        raise AlreadyOpen(f"escrow {address.hex()} was already opened")
     if balances.get(buyer_pk, 0) < amount:
         raise InsufficientFunds(
             f"buyer holds {balances.get(buyer_pk, 0)}, needs {amount}"
         )
-    address = derive_address(buyer_pk, seller_pk, arbiter_pk, amount, fee, nonce)
     balances[buyer_pk] -= amount
-    balances[address] = balances.get(address, 0) + amount
-    return Escrow(
-        address=address,
-        buyer_pk=buyer_pk,
-        seller_pk=seller_pk,
-        arbiter_pk=arbiter_pk,
-        amount=amount,
-        fee=fee,
-        nonce=nonce,
-    )
+    balances[address] = amount
+    return Escrow(address, buyer_pk, seller_pk, arbiter_pk, amount, fee, nonce)
 
 
 def sign_disposition(
@@ -209,62 +249,19 @@ def sign_disposition(
     signature: bytes,
     disposition: str,
 ) -> Escrow:
-    """Record one party's vote; finalizes the escrow at the second
-    distinct backer of a disposition.
-
-    A party may re-sign its own disposition (no-op) but never the
-    opposite one. Votes on a finalized escrow are rejected.
-    """
-    if escrow.status != OPEN:
-        raise AlreadyFinal(f"escrow is {escrow.status}")
-    if disposition not in DISPOSITIONS:
-        raise EscrowError(f"unknown disposition {disposition!r}")
-    role = escrow.role_of(signer_pk)
-    if role is None:
-        raise NotParty("signer is not a party to this escrow")
-    if not crypto.verify(signer_pk, signing_bytes(escrow.address, disposition), signature):
-        raise BadSignature(f"invalid {disposition} signature from {role}")
-    for prev_pk, prev_disposition in escrow.votes:
-        if prev_pk == signer_pk:
-            if prev_disposition != disposition:
-                raise ConflictingSignature(
-                    f"{role} already signed {prev_disposition}"
-                )
-            return escrow
-    escrow.votes.append((signer_pk, disposition))
-    outcome = resolve_dispositions(
-        [(escrow.role_of(pk), d) for pk, d in escrow.votes],
-        escrow.amount,
-        escrow.fee,
-    )
-    if outcome is not None:
-        _apply_outcome(balances, escrow, outcome)
+    """Record one party's vote (see cast_vote); pay out the locked amount
+    once the vote resolves the escrow."""
+    result = cast_vote(escrow, signer_pk, signature, disposition)
+    for role, amount in result.get("payouts", {}).items():
+        pk = escrow.load(role)
+        balances[escrow.address] -= amount
+        balances[pk] = balances.get(pk, 0) + amount
     return escrow
 
 
 def finalize(balances: Balances, escrow: Escrow) -> dict:
-    """Explicit finalize for callers that batch votes.
-
-    sign_disposition already finalizes at the threshold, so this either
-    reports the recorded outcome or raises NotReady.
-    """
-    if escrow.status != OPEN:
-        return dict(escrow.outcome or {})
-    outcome = resolve_dispositions(
-        [(escrow.role_of(pk), d) for pk, d in escrow.votes],
-        escrow.amount,
-        escrow.fee,
-    )
-    if outcome is None:
+    """The recorded outcome, or NotReady while open: votes resolve the
+    escrow as they arrive."""
+    if escrow.status == OPEN:
         raise NotReady("no disposition has two distinct backers")
-    _apply_outcome(balances, escrow, outcome)  # pragma: no cover - sign finalizes first
-    return dict(escrow.outcome or {})
-
-
-def _apply_outcome(balances: Balances, escrow: Escrow, outcome: dict) -> None:
-    for role, amount in outcome["payouts"].items():
-        pk = escrow.pk_of(role)
-        balances[escrow.address] -= amount
-        balances[pk] = balances.get(pk, 0) + amount
-    escrow.status = outcome["status"]
-    escrow.outcome = outcome
+    return dict(escrow.outcome)

@@ -186,27 +186,21 @@ class AuditLog:
         return audit_verify(self._records)
 
     def to_jsonl(self) -> str:
-        import json
-
-        lines = []
-        for r in self._records:
-            lines.append(
-                json.dumps(
-                    {
-                        "seq": r.seq,
-                        "actor": r.actor,
-                        "action": r.action,
-                        "outcome": r.outcome,
-                        "detail": r.detail,
-                        "prev_hash": r.prev_hash.hex(),
-                        "record_hash": r.record_hash.hex(),
-                    },
-                    sort_keys=True,
-                    separators=(",", ":"),
-                    ensure_ascii=False,
-                )
-            )
-        return "".join(line + "\n" for line in lines)
+        return "".join(
+            canonical_json(
+                {
+                    "seq": r.seq,
+                    "actor": r.actor,
+                    "action": r.action,
+                    "outcome": r.outcome,
+                    "detail": r.detail,
+                    "prev_hash": r.prev_hash.hex(),
+                    "record_hash": r.record_hash.hex(),
+                }
+            ).decode("utf-8")
+            + "\n"
+            for r in self._records
+        )
 
 
 def audit_verify(records: Sequence[AuditRecord]) -> AuditResult:
@@ -301,11 +295,6 @@ class PolicyState:
 
     def triples(self) -> frozenset[Triple]:
         return frozenset(self._triples)
-
-    def tp_certifier(self, tp_id: str) -> str:
-        if tp_id not in self._tps:
-            raise UnknownEntity(f"tp {tp_id!r} is not registered")
-        return self._tps[tp_id][1]
 
     # -- internals -------------------------------------------------------------
 

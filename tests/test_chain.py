@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import struct
 from dataclasses import replace
 
@@ -412,16 +413,43 @@ class TestVerifyChain:
         assert not res.valid and res.reason == ch.R_BAD_GENESIS
 
 
+# non-ASCII text, quotes, backslashes and control characters in one string
+ESCAPES = 'caf\u00e9 \u4e2d "q" \\ a\\b \x00\x01\x1f\x7f \u2028 \U0001f600 \t\n/'
+
+
+def grow_escapes(chain: Chain) -> None:
+    """Append a block whose kind, payload key and payload value all carry ESCAPES."""
+    block = chain.build_block(
+        [Transaction.create(ESCAPES, {"memo": ESCAPES, ESCAPES: [ESCAPES]}, AUTHOR)],
+        wall_time=2000,
+    )
+    chain.approve_and_append(block, approve(block, VALIDATORS[:2]))
+
+
 class TestExportImport:
     def test_roundtrip_bytes_and_validity(self, tmp_path):
         c = Chain(quorum_config())
         grow(c, 3)
+        grow_escapes(c)
         path = tmp_path / "chain.jsonl"
         c.export_jsonl(str(path))
         imported = Chain.import_jsonl(str(path), c.config)
         assert imported.verify().valid
         assert imported.to_jsonl() == c.to_jsonl()
         assert [b.block_id for b in imported.blocks] == [b.block_id for b in c.blocks]
+
+    def test_line_bytes_frozen_on_escapes(self):
+        # frozen from the json.dumps line writer that canonical_json replaced
+        c = Chain(quorum_config())
+        grow(c, 1)
+        grow_escapes(c)
+        out = c.to_jsonl()
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert digest == "b95801ab23b7cc1fcff6069a733385017770e7c3ce3edeee4f0a75713fd94230"
+        assert (
+            '"memo":"caf\u00e9 \u4e2d \\"q\\" \\\\ a\\\\b '
+            '\\u0000\\u0001\\u001f\x7f \u2028 \U0001f600 \\t\\n/"'
+        ) in out
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"

@@ -518,6 +518,43 @@ class TestEscrowContract:
         self.sign("buyer", "to_seller")
         assert self.sign("buyer", "to_seller") == {"status": "open", "votes": 1}
 
+    def cost(self, method, args):
+        """Steps one call spends and the reason it failed with, if any."""
+        b = budget()
+        try:
+            self.state.invoke(self.addr, method, args, b)
+        except ct.ContractError as exc:
+            return b.used, exc.reason
+        return b.used, None
+
+    def signed(self, role, disposition):
+        kp = self.kps[role]
+        sig = crypto.sign(kp.secret, self.addr + disposition.encode())
+        return {"signer": kp.public.hex(), "signature": sig.hex(), "disposition": disposition}
+
+    def test_sign_and_status_costs_are_pinned(self):
+        # every sign path spends a fixed number of storage steps on top of
+        # the flat 10; a refactor of the vote rules must not move them
+        stranger = crypto.keygen(b"\xad" * 32)
+        wrong_sig = crypto.sign(self.kps["buyer"].secret, self.addr + b"to_buyer")
+        buyer_hex = self.kps["buyer"].public.hex()
+        paths = [
+            ("first vote", self.signed("buyer", "to_seller"), 18, None),
+            ("re-sign no-op", self.signed("buyer", "to_seller"), 15, None),
+            ("conflicting", self.signed("buyer", "to_buyer"), 15, "conflicting_signature"),
+            ("unknown disposition", dict(self.signed("buyer", "to_seller"), disposition="sideways"), 11, "bad_disposition"),
+            ("not a party", {"signer": stranger.public.hex(), "signature": "00" * 64, "disposition": "to_seller"}, 14, "not_party"),
+            ("non-hex signer", {"signer": "zz", "signature": "00" * 64, "disposition": "to_seller"}, 14, "not_party"),
+            ("bad signature", {"signer": buyer_hex, "signature": wrong_sig.hex(), "disposition": "to_seller"}, 14, "bad_signature"),
+            ("non-hex signature", {"signer": buyer_hex, "signature": "not hex", "disposition": "to_seller"}, 14, "bad_signature"),
+            ("resolving vote", self.signed("seller", "to_seller"), 20, None),
+            ("already final", self.signed("arbiter", "to_seller"), 11, "already_final"),
+        ]
+        assert self.cost("status", {}) == (13, None)
+        for label, args, steps, reason in paths:
+            assert self.cost("sign", args) == (steps, reason), label
+        assert self.cost("status", {}) == (13, None)
+
 
 class TestCatalogAndDeterminism:
     def test_listing_is_sorted_and_complete(self):

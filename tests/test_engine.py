@@ -53,6 +53,48 @@ class TestParsing:
         assert report == {"scenario": "empty", "ops": [], "summary": {"op_count": 0}}
 
 
+class TestFields:
+    KEYGEN = {"op": "keygen", "name": "a", "seed": "01" * 32}
+
+    @pytest.mark.parametrize("amount", [-5, 1.5, True, "5"])
+    def test_fund_takes_positive_integers_only(self, amount):
+        text = lines(
+            self.KEYGEN,
+            {"op": "fund", "name": "a", "amount": 10},
+            {"op": "fund", "name": "a", "amount": amount},
+        )
+        with pytest.raises(engine.ParseError, match="amount") as e:
+            engine.run_scenario(text)
+        assert e.value.line == 3
+
+    @pytest.mark.parametrize("amount", [-5, 1.5, True, "5"])
+    def test_rejected_fund_leaves_the_balance(self, amount):
+        state = engine.ScenarioState()
+        engine._op_keygen(state, self.KEYGEN)
+        engine._op_fund(state, {"name": "a", "amount": 10})
+        with pytest.raises(engine.ParseError):
+            engine._op_fund(state, engine._OpLine({"name": "a", "amount": amount}, 7))
+        assert state.balances == {state.keys["a"].public: 10}
+
+    @pytest.mark.parametrize(
+        "doc,field",
+        [
+            ({"op": "fund"}, "name"),
+            ({"op": "fund", "name": "a"}, "amount"),
+            ({"op": "keygen", "name": "b"}, "seed"),
+            ({"op": "tsa_init", "expected": {}}, None),
+        ],
+    )
+    def test_missing_field_is_a_parse_error(self, doc, field):
+        text = lines(self.KEYGEN, doc)
+        if field is None:
+            engine.run_scenario(text)
+            return
+        with pytest.raises(engine.ParseError, match=f"missing field '{field}'") as e:
+            engine.run_scenario(text)
+        assert e.value.line == 2
+
+
 class TestAssertions:
     def test_expected_subset_passes(self):
         text = lines(
@@ -125,6 +167,7 @@ class TestAssertions:
         # vocabulary; that has to be a deliberate edit of this list
         assert sorted(engine._EXPECTED_ERRORS) == [
             "AlreadyFinal",
+            "AlreadyOpen",
             "BadSignature",
             "CapMissing",
             "ConflictingSignature",

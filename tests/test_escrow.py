@@ -75,6 +75,18 @@ class TestOpen:
         with pytest.raises(es.InsufficientFunds):
             fresh(amount=500, buyer_cash=499)
 
+    @pytest.mark.parametrize(
+        "amount,fee", [(10.5, 0.5), (10.0, 0), (10, 2.0), (True, 0), (10, True)]
+    )
+    def test_money_must_be_integers(self, amount, fee):
+        # a float amount would leave the buyer holding a float balance
+        balances = {BUYER_KP.public: 200}
+        with pytest.raises(es.EscrowError):
+            es.open_escrow(
+                balances, BUYER_KP.public, SELLER_KP.public, ARBITER_KP.public, amount, fee
+            )
+        assert balances == {BUYER_KP.public: 200}
+
     def test_address_depends_on_terms(self):
         args = (BUYER_KP.public, SELLER_KP.public, ARBITER_KP.public)
         base = es.derive_address(*args, 500, 25, 0)
@@ -83,6 +95,38 @@ class TestOpen:
         assert es.derive_address(*args, 501, 25, 0) != base
         assert es.derive_address(*args, 500, 24, 0) != base
         assert len(base) == 32
+
+
+class TestReopen:
+    """The address is the escrow's identity: votes signed for it would
+    replay on a second escrow opened at the same address."""
+
+    def reopen(self, balances, nonce=0):
+        return es.open_escrow(
+            balances, BUYER_KP.public, SELLER_KP.public, ARBITER_KP.public, 500, 25, nonce
+        )
+
+    def test_open_twice_while_live_rejected(self):
+        balances, escrow = fresh(buyer_cash=1000)
+        with pytest.raises(es.AlreadyOpen):
+            self.reopen(balances)
+        assert balances == {BUYER_KP.public: 500, escrow.address: 500}
+
+    def test_reopen_after_resolution_rejected(self):
+        balances, escrow = fresh(buyer_cash=1000)
+        vote(balances, escrow, "buyer", es.TO_SELLER)
+        vote(balances, escrow, "seller", es.TO_SELLER)
+        assert balances[escrow.address] == 0
+        before = dict(balances)
+        with pytest.raises(es.AlreadyOpen):
+            self.reopen(balances)
+        assert balances == before
+
+    def test_new_nonce_still_opens(self):
+        balances, escrow = fresh(buyer_cash=1000)
+        other = self.reopen(balances, nonce=1)
+        assert other.address != escrow.address
+        assert balances == {BUYER_KP.public: 0, escrow.address: 500, other.address: 500}
 
 
 class TestSigning:

@@ -199,6 +199,18 @@ class TestRule4AuditEverything:
         assert len(line["record_hash"]) == 64
         assert line["record_hash"] == line["record_hash"].lower()
 
+    def test_jsonl_line_bytes_frozen_on_escapes(self):
+        # non-ASCII text, quotes, backslashes and control characters; frozen
+        # from the json.dumps line writer that canonical_json replaced
+        log = ig.AuditLog()
+        log.append("\u00e9ve", 'act"ion', ALLOWED, 'caf\u00e9 \u4e2d "q" \\ a\\b \x00\x01\x1f\x7f \u2028 \U0001f600 \t\n/')
+        assert log.to_jsonl() == (
+            '{"action":"act\\"ion","actor":"\u00e9ve",'
+            '"detail":"caf\u00e9 \u4e2d \\"q\\" \\\\ a\\\\b \\u0000\\u0001\\u001f\x7f \u2028 \U0001f600 \\t\\n/",'
+            '"outcome":"allowed","prev_hash":"' + "00" * 32 + '",'
+            '"record_hash":"9a018fcb851a3808de39b9525b6c97070637faff9160e3935dbfc2bb75dccfca","seq":0}\n'
+        )
+
 
 class TestRule5Promotion:
     def test_udi_promoted_via_tp(self):
