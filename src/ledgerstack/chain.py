@@ -21,10 +21,11 @@ anchor: it needs neither approvals nor work.
 validate_block is the one place a block is checked: build_block,
 approve_and_append and append_mined raise for the reason code it returns,
 and verify_chain reports that code with the height. Transaction.verify
-memoizes on the object the exact content Ed25519 accepted, so a memo hit
-means the same object with the same bytes, already verified in this
-process. A copy (replace, deepcopy, an import) or a mutated field is
-verified again.
+and Approval.verify (per block id) memoize on the object the exact content
+Ed25519 accepted, so a memo hit means the same object with the same bytes,
+already verified in this process. A copy (replace, deepcopy, pickle, an
+import) or a mutated field is verified again. Import checks each tx_id, and
+the first verify of that transaction reuses the check instead of hashing again.
 """
 
 from __future__ import annotations
@@ -119,6 +120,11 @@ class BadImport(ChainError):
 # Transactions
 
 
+def _without_memo(self) -> dict:
+    # copy, deepcopy and pickle drop the memo: a copy is verified again.
+    return {k: v for k, v in self.__dict__.items() if k != "_verified"}
+
+
 @dataclass(frozen=True)
 class Transaction:
     """A signed application event.
@@ -133,12 +139,11 @@ class Transaction:
     author_pk: bytes
     signature: bytes
     tx_id: bytes
-    # (kind, payload, author_pk, signature, tx_id) as last accepted by verify
+    # ((kind, payload, author_pk, tx_id), signature): the content last found
+    # to hash to tx_id, and the signature Ed25519 then accepted (None: not yet)
     _verified: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
-    def __getstate__(self) -> dict:
-        # copy, deepcopy and pickle drop the memo: a copy is verified again.
-        return {k: v for k, v in self.__dict__.items() if k != "_verified"}
+    __getstate__ = _without_memo
 
     @staticmethod
     def preimage(kind: str, payload: bytes, author_pk: bytes) -> bytes:
@@ -173,15 +178,23 @@ class Transaction:
     def payload_obj(self) -> Any:
         return json.loads(self.payload.decode("utf-8"))
 
-    def verify(self) -> bool:
-        content = (self.kind, self.payload, self.author_pk, self.signature, self.tx_id)
-        if content != self._verified:
-            signing = self.signing_bytes()
+    def _id_matches(self, signing: bytes) -> bool:
+        body = (self.kind, self.payload, self.author_pk, self.tx_id)
+        if self._verified is None or self._verified[0] != body:
             if sha256d(signing) != self.tx_id:
+                return False
+            object.__setattr__(self, "_verified", (body, None))
+        return True
+
+    def verify(self) -> bool:
+        body = (self.kind, self.payload, self.author_pk, self.tx_id)
+        if self._verified != (body, self.signature):
+            signing = self.signing_bytes()
+            if not self._id_matches(signing):
                 return False
             if not crypto.verify(self.author_pk, signing, self.signature):
                 return False
-            object.__setattr__(self, "_verified", content)
+            object.__setattr__(self, "_verified", (body, self.signature))
         return True
 
 
@@ -243,6 +256,18 @@ def header_id(header: BlockHeader) -> bytes:
 class Approval:
     validator_pk: bytes
     signature: bytes
+    # (validator_pk, signature, block_id) as last accepted by verify
+    _verified: tuple | None = field(default=None, init=False, compare=False, repr=False)
+
+    __getstate__ = _without_memo
+
+    def verify(self, block_id: bytes) -> bool:
+        content = (self.validator_pk, self.signature, block_id)
+        if content != self._verified:
+            if not crypto.verify(self.validator_pk, block_id, self.signature):
+                return False
+            object.__setattr__(self, "_verified", content)
+        return True
 
 
 @dataclass
@@ -363,7 +388,7 @@ def validate_block(
     for ap in block.approvals:
         if ap.validator_pk not in config.validators:
             return R_UNKNOWN_VAL
-        if not crypto.verify(ap.validator_pk, bid, ap.signature):
+        if not ap.verify(bid):
             return R_APPROVAL_SIG
         distinct.add(ap.validator_pk)
     return None if len(distinct) >= config.quorum_m else R_QUORUM
@@ -618,6 +643,6 @@ def _block_from_line(line: str, lineno: int) -> Block:
     if block.block_id != stated_id:
         raise BadImport(lineno, "stated block_id does not match recomputed header hash")
     for tx in txs:
-        if sha256d(tx.signing_bytes()) != tx.tx_id:
+        if not tx._id_matches(tx.signing_bytes()):
             raise BadImport(lineno, f"stated tx_id mismatch on {tx.tx_id.hex()}")
     return block

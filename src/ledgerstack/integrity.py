@@ -24,10 +24,11 @@ subject attribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from json.encoder import encode_basestring
 from typing import Any, Callable, Mapping, Sequence
 
-from .crypto import ZERO32, canonical_json, sha256d
+from .crypto import HASH_LEN, ZERO32, canonical_json, sha256d
 
 CDI = "CDI"
 UDI = "UDI"
@@ -132,17 +133,23 @@ class AuditRecord:
 def _record_hash(
     seq: int, actor: str, action: str, outcome: str, detail: str, prev_hash: bytes
 ) -> bytes:
+    # canonical_json of the record, spliced in sorted key order; the bytes
+    # are equal for an int seq, str text and bytes prev_hash (_bad_field)
     return sha256d(
-        canonical_json(
-            {
-                "seq": seq,
-                "actor": actor,
-                "action": action,
-                "outcome": outcome,
-                "detail": detail,
-                "prev_hash": prev_hash.hex(),
-            }
-        )
+        f'{{"action":{encode_basestring(action)},"actor":{encode_basestring(actor)},'
+        f'"detail":{encode_basestring(detail)},"outcome":{encode_basestring(outcome)},'
+        f'"prev_hash":"{prev_hash.hex()}","seq":{int.__repr__(seq)}}}'.encode("utf-8")
+    )
+
+
+def _bad_field(r: AuditRecord) -> bool:
+    # spelled out, not a loop over the fields: it runs once per verified record
+    return not (
+        isinstance(r.seq, int) and not isinstance(r.seq, bool)
+        and isinstance(r.actor, str) and isinstance(r.action, str)
+        and isinstance(r.outcome, str) and isinstance(r.detail, str)
+        and isinstance(r.prev_hash, bytes) and len(r.prev_hash) == HASH_LEN
+        and isinstance(r.record_hash, bytes) and len(r.record_hash) == HASH_LEN
     )
 
 
@@ -150,6 +157,7 @@ def _record_hash(
 class AuditResult:
     valid: bool
     first_bad_seq: int | None = None
+    reason: str | None = None
 
 
 class AuditLog:
@@ -168,6 +176,8 @@ class AuditLog:
     def append(self, actor: str, action: str, outcome: str, detail: str) -> AuditRecord:
         if outcome not in (ALLOWED, DENIED):
             raise IntegrityError(f"unknown outcome {outcome!r}")
+        if not (isinstance(actor, str) and isinstance(action, str) and isinstance(detail, str)):
+            raise IntegrityError("audit actor, action and detail must be text")
         seq = len(self._records)
         prev_hash = ZERO32 if seq == 0 else self._records[-1].record_hash
         record = AuditRecord(
@@ -188,15 +198,7 @@ class AuditLog:
     def to_jsonl(self) -> str:
         return "".join(
             canonical_json(
-                {
-                    "seq": r.seq,
-                    "actor": r.actor,
-                    "action": r.action,
-                    "outcome": r.outcome,
-                    "detail": r.detail,
-                    "prev_hash": r.prev_hash.hex(),
-                    "record_hash": r.record_hash.hex(),
-                }
+                {**vars(r), "prev_hash": r.prev_hash.hex(), "record_hash": r.record_hash.hex()}
             ).decode("utf-8")
             + "\n"
             for r in self._records
@@ -204,26 +206,27 @@ class AuditLog:
 
 
 def audit_verify(records: Sequence[AuditRecord]) -> AuditResult:
-    """Recompute the hash chain; report the first bad position.
+    """Recompute the hash chain; report the first bad position and why.
 
     Detects single-record mutation and deletion: a removed record shifts
-    every later seq, so the gap surfaces at the deleted position.
+    every later seq, so the gap surfaces at the deleted position. Never
+    raises: a badly typed or unencodable field is a bad_field.
     """
     prev_hash = ZERO32
-    for position, record in enumerate(records):
-        if record.seq != position or record.prev_hash != prev_hash:
-            return AuditResult(False, position)
-        expected = _record_hash(
-            record.seq,
-            record.actor,
-            record.action,
-            record.outcome,
-            record.detail,
-            record.prev_hash,
-        )
-        if record.record_hash != expected:
-            return AuditResult(False, position)
-        prev_hash = record.record_hash
+    for position, r in enumerate(records):
+        if _bad_field(r):
+            return AuditResult(False, position, "bad_field")
+        if r.seq != position:
+            return AuditResult(False, position, "seq_gap")
+        if r.prev_hash != prev_hash:
+            return AuditResult(False, position, "link_broken")
+        try:
+            expected = _record_hash(r.seq, r.actor, r.action, r.outcome, r.detail, prev_hash)
+        except UnicodeEncodeError:
+            return AuditResult(False, position, "bad_field")
+        if r.record_hash != expected:
+            return AuditResult(False, position, "hash_mismatch")
+        prev_hash = r.record_hash
     return AuditResult(True)
 
 
@@ -248,7 +251,8 @@ class PolicyState:
         self._items: dict[str, DataItem] = {}
         self._tps: dict[str, tuple[TpFn, str]] = {}  # tp_id -> (fn, certifier)
         self._ivps: dict[str, IvpFn] = {}  # item_id -> predicate
-        self._triples: set[Triple] = set()
+        # (subject_id, tp_id) -> the CDI sets granted to that pair
+        self._grants: dict[tuple[str, str], set[frozenset[str]]] = {}
         self.audit = AuditLog()
 
     # -- registration (bootstrap surface) ------------------------------------
@@ -277,9 +281,9 @@ class PolicyState:
 
     def add_triple(self, triple: Triple) -> None:
         """Bootstrap-time grant. Enforces separation of duty like any grant."""
-        self._require_triple_refs(triple)
+        self._require_refs(triple.subject_id, triple.tp_id, triple.cdi_ids)
         self._check_sod(triple)
-        self._triples.add(triple)
+        self._grants.setdefault((triple.subject_id, triple.tp_id), set()).add(triple.cdi_ids)
 
     # -- read-only views ------------------------------------------------------
 
@@ -294,7 +298,7 @@ class PolicyState:
         return replace(self._subjects[subject_id])
 
     def triples(self) -> frozenset[Triple]:
-        return frozenset(self._triples)
+        return frozenset(Triple(*key, cdis) for key, sets in self._grants.items() for cdis in sets)
 
     # -- internals -------------------------------------------------------------
 
@@ -306,14 +310,23 @@ class PolicyState:
                 "not also execute it"
             )
 
-    def _require_triple_refs(self, triple: Triple) -> None:
-        if triple.subject_id not in self._subjects:
-            raise UnknownEntity(f"subject {triple.subject_id!r} is not a subject")
-        if triple.tp_id not in self._tps:
-            raise UnknownEntity(f"tp {triple.tp_id!r} is not registered")
-        for item_id in triple.cdi_ids:
-            if item_id not in self._items:
-                raise UnknownEntity(f"item {item_id!r} is not registered")
+    def _require_refs(self, subject_id: str, tp_id: str, item_ids, audit_action: str = "") -> None:
+        """Raise UnknownEntity for the first unregistered id, auditing the
+        refusal under audit_action first when one is given."""
+        if subject_id not in self._subjects:
+            what, message = f"unknown_subject:{subject_id}", f"subject {subject_id!r} is not a subject"
+        elif tp_id not in self._tps:
+            what, message = f"unknown_tp:{tp_id}", f"tp {tp_id!r} is not registered"
+        else:
+            for item_id in item_ids:
+                if item_id not in self._items:
+                    what, message = f"unknown_item:{item_id}", f"item {item_id!r} is not registered"
+                    break
+            else:
+                return
+        if audit_action:
+            self._audit_unknown(audit_action, what)
+        raise UnknownEntity(message)
 
     def _audit_unknown(self, action: str, what: str) -> None:
         # Unknown ids are rejected before attribution: the actor field stays
@@ -325,12 +338,7 @@ class PolicyState:
         return TpResult(False, reason, None, record)
 
     def _match_triple(self, subject_id: str, tp_id: str, item_ids: frozenset[str]) -> bool:
-        return any(
-            t.subject_id == subject_id
-            and t.tp_id == tp_id
-            and item_ids <= t.cdi_ids
-            for t in self._triples
-        )
+        return any(item_ids <= cdis for cdis in self._grants.get((subject_id, tp_id), ()))
 
     # -- guarded operations -----------------------------------------------------
 
@@ -349,17 +357,8 @@ class PolicyState:
         """
         args = args or {}
         action = f"execute_tp:{tp_id}"
-        if subject_id not in self._subjects:
-            self._audit_unknown(action, f"unknown_subject:{subject_id}")
-            raise UnknownEntity(f"subject {subject_id!r} is not a subject")
-        if tp_id not in self._tps:
-            self._audit_unknown(action, f"unknown_tp:{tp_id}")
-            raise UnknownEntity(f"tp {tp_id!r} is not registered")
+        self._require_refs(subject_id, tp_id, cdi_ids, action)
         targets = frozenset(cdi_ids)
-        for item_id in targets:
-            if item_id not in self._items:
-                self._audit_unknown(action, f"unknown_item:{item_id}")
-                raise UnknownEntity(f"item {item_id!r} is not registered")
         if not targets:
             return self._deny(subject_id, action, "no_targets")
         for item_id in sorted(targets):
@@ -414,15 +413,7 @@ class PolicyState:
         """
         args = args or {}
         action = f"promote_udi:{tp_id}:{udi_id}"
-        if subject_id not in self._subjects:
-            self._audit_unknown(action, f"unknown_subject:{subject_id}")
-            raise UnknownEntity(f"subject {subject_id!r} is not a subject")
-        if tp_id not in self._tps:
-            self._audit_unknown(action, f"unknown_tp:{tp_id}")
-            raise UnknownEntity(f"tp {tp_id!r} is not registered")
-        if udi_id not in self._items:
-            self._audit_unknown(action, f"unknown_item:{udi_id}")
-            raise UnknownEntity(f"item {udi_id!r} is not registered")
+        self._require_refs(subject_id, tp_id, (udi_id,), action)
         item = self._items[udi_id]
         if item.item_class == CDI:
             self.audit.append(subject_id, action, DENIED, "already_constrained")
@@ -461,20 +452,18 @@ class PolicyState:
             return self._deny(admin_id, audit_action, "not_privileged")
         if action == GRANT:
             try:
-                self._require_triple_refs(triple)
+                self.add_triple(triple)
             except UnknownEntity:
                 self._audit_unknown(audit_action, f"unknown_reference:{detail}")
                 raise
-            try:
-                self._check_sod(triple)
             except SeparationOfDuty:
                 self.audit.append(admin_id, audit_action, DENIED, f"separation_of_duty:{detail}")
                 raise
-            self._triples.add(triple)
         else:
-            if triple not in self._triples:
+            granted = self._grants.get((triple.subject_id, triple.tp_id), set())
+            if triple.cdi_ids not in granted:
                 return self._deny(admin_id, audit_action, "no_such_triple")
-            self._triples.discard(triple)
+            granted.discard(triple.cdi_ids)
         record = self.audit.append(admin_id, audit_action, ALLOWED, detail)
         return TpResult(True, "ok", None, record)
 

@@ -188,3 +188,13 @@ def match_oracle(orders: list[tuple]) -> tuple[list[tuple], dict[str, tuple[int,
         for asset in sorted({o[2] for o in orders})
     }
     return trades, depth
+
+
+def triple_match_oracle(triples, subject_id: str, tp_id: str, item_ids) -> bool:
+    """Linear scan over every granted triple, as the policy kernel first
+    matched: some triple of this subject and TP must cover every item."""
+    wanted = frozenset(item_ids)
+    return any(
+        t.subject_id == subject_id and t.tp_id == tp_id and wanted <= t.cdi_ids
+        for t in triples
+    )

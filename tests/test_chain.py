@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import pickle
 import struct
 from dataclasses import replace
 
@@ -594,3 +595,102 @@ class TestVerifyOnce:
         with pytest.raises(BadTxSignature):
             c.approve_and_append(b, approve(b, VALIDATORS[:2]))
         assert c.height == 0
+
+
+@pytest.fixture
+def verifies(monkeypatch):
+    """Every Ed25519 verify, as (public, message, signature)."""
+    calls = []
+    real = crypto.verify
+
+    def counting(public, message, signature):
+        calls.append((public, message, signature))
+        return real(public, message, signature)
+
+    monkeypatch.setattr(crypto, "verify", counting)
+    return calls
+
+
+class TestApprovalMemo:
+    """An approval verified for a block id is not verified again while its
+    key, signature and the block id are unchanged; copies and edits are."""
+
+    def test_second_verify_chain_makes_no_verify(self, verifies):
+        c = Chain(quorum_config())
+        grow(c, 3)
+        assert len(verifies) == 6 + 6  # each tx and each approval once
+        verifies.clear()
+        assert c.verify().valid
+        assert verify_chain(list(c.blocks), c.config).valid
+        assert verifies == []
+
+    @pytest.mark.parametrize(
+        "duplicate", [copy.copy, copy.deepcopy, lambda a: pickle.loads(pickle.dumps(a))]
+    )
+    def test_copies_drop_the_memo(self, duplicate, verifies):
+        c = Chain(quorum_config())
+        grow(c, 1)
+        ap = c.blocks[1].approvals[0]
+        twin = duplicate(ap)
+        assert twin == ap and twin._verified is None
+        verifies.clear()
+        c.blocks[1].approvals = (twin,) + c.blocks[1].approvals[1:]
+        assert c.verify().valid
+        assert len(verifies) == 1
+
+    def test_deepcopied_chain_verifies_every_approval_again(self, verifies):
+        c = Chain(quorum_config())
+        grow(c, 3)
+        verifies.clear()
+        assert verify_chain(copy.deepcopy(c.blocks), c.config).valid
+        assert len(verifies) == 12
+
+    def test_approval_moved_to_another_block_is_verified_again(self):
+        c = Chain(quorum_config())
+        grow(c, 3)
+        assert c.verify().valid
+        c.blocks[3].approvals = c.blocks[2].approvals
+        assert c.verify() == ch.VerifyResult(False, 3, ch.R_APPROVAL_SIG)
+
+    @pytest.mark.parametrize("name", ["signature", "validator_pk"])
+    def test_verified_approval_mutated_in_place_is_rejected(self, name):
+        c = Chain(quorum_config())
+        grow(c, 3)
+        assert c.verify().valid
+        ap = c.blocks[2].approvals[0]
+        edited = _flip_first(ap.signature) if name == "signature" else VALIDATORS[2].public
+        object.__setattr__(ap, name, edited)
+        assert c.verify() == ch.VerifyResult(False, 2, ch.R_APPROVAL_SIG)
+
+
+class TestImportHashesOnce:
+    def test_each_imported_tx_is_hashed_once(self, monkeypatch):
+        c = Chain(quorum_config())
+        grow(c, 3)
+        signing = {t.signing_bytes() for b in c.blocks for t in b.txs}
+        hashed = []
+        real = ch.sha256d
+        monkeypatch.setattr(ch, "sha256d", lambda data: hashed.append(data) or real(data))
+        imported = Chain.from_jsonl(c.to_jsonl(), c.config)
+        assert imported.verify().valid
+        tx_hashes = [data for data in hashed if data in signing]
+        assert sorted(tx_hashes) == sorted(signing)
+
+    def test_stated_tx_id_mismatch_names_its_line(self):
+        c = Chain(quorum_config())
+        grow(c, 3)
+        lines = c.to_jsonl().splitlines()
+        victim = c.blocks[2].txs[1].tx_id.hex()
+        lines[2] = lines[2].replace(victim, _flip_first(bytes.fromhex(victim)).hex())
+        with pytest.raises(BadImport) as err:
+            Chain.from_jsonl("\n".join(lines), c.config)
+        assert err.value.line == 3 and "tx_id mismatch" in str(err.value)
+
+    def test_imported_tx_with_bad_signature_still_fails_verify(self):
+        c = Chain(quorum_config())
+        grow(c, 3)
+        lines = c.to_jsonl().splitlines()
+        sig = c.blocks[2].txs[0].signature.hex()
+        lines[2] = lines[2].replace(sig, _flip_first(bytes.fromhex(sig)).hex())
+        imported = Chain.from_jsonl("\n".join(lines), c.config)
+        assert imported.verify() == ch.VerifyResult(False, 2, ch.R_TX_SIG)

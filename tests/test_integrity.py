@@ -3,9 +3,15 @@ level checks and audit chain verification."""
 
 from __future__ import annotations
 
+import hashlib
+import random
+from dataclasses import replace
+
 import pytest
+from oracles import triple_match_oracle
 
 from ledgerstack import integrity as ig
+from ledgerstack.crypto import canonical_json
 from ledgerstack.integrity import (
     ALLOWED,
     CDI,
@@ -319,13 +325,21 @@ class TestAuditVerify:
             victim.seq, victim.actor, victim.action, victim.outcome,
             victim.detail + "x", victim.prev_hash, victim.record_hash,
         )
-        assert audit_verify(records) == ig.AuditResult(False, 2)
+        assert audit_verify(records) == ig.AuditResult(False, 2, "hash_mismatch")
 
     def test_deleted_record_detected_at_its_position(self):
         st = self.fill()
         records = list(st.audit.records)
         del records[3]
-        assert audit_verify(records) == ig.AuditResult(False, 3)
+        assert audit_verify(records) == ig.AuditResult(False, 3, "seq_gap")
+
+    def test_rehashed_forgery_breaks_the_next_link(self):
+        st = self.fill()
+        records = list(st.audit.records)
+        r = records[2]
+        forged_hash = ig._record_hash(r.seq, "bob", r.action, r.outcome, r.detail, r.prev_hash)
+        records[2] = replace(r, actor="bob", record_hash=forged_hash)
+        assert audit_verify(records) == ig.AuditResult(False, 3, "link_broken")
 
     def test_outcome_flip_detected(self):
         st = base_state()
@@ -335,11 +349,202 @@ class TestAuditVerify:
         records[-1] = AuditRecord(
             r.seq, r.actor, r.action, ALLOWED, r.detail, r.prev_hash, r.record_hash
         )
-        result = audit_verify(records)
-        assert not result.valid and result.first_bad_seq == r.seq
+        assert audit_verify(records) == ig.AuditResult(False, r.seq, "hash_mismatch")
 
     def test_empty_log_is_valid(self):
         assert audit_verify([]).valid
+
+
+class TestAuditFieldTypes:
+    """append refuses non-text fields; audit_verify reports a badly typed
+    record at its position as bad_field and never raises."""
+
+    @pytest.mark.parametrize(
+        "actor, action, detail",
+        [(5, "x", "d"), ("a", 5, "d"), ("a", "x", b"d"), (None, "x", "d"), ("a", "x", 1.5)],
+    )
+    def test_append_rejects_non_text(self, actor, action, detail):
+        log = ig.AuditLog()
+        with pytest.raises(ig.IntegrityError):
+            log.append(actor, action, ALLOWED, detail)
+        assert len(log) == 0
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"actor": b"a"},
+            {"action": None},
+            {"outcome": 1},
+            {"detail": ["d"]},
+            {"seq": True},
+            {"seq": 2.0},
+            {"seq": "2"},
+            {"prev_hash": b"\x00" * 31},
+            {"prev_hash": "00" * 32},
+            {"record_hash": bytearray(32)},
+            {"record_hash": None},
+            {"actor": "lone \ud800 surrogate"},
+        ],
+    )
+    def test_verify_reports_bad_field_at_its_position(self, changes):
+        st = TestAuditVerify().fill()
+        records = list(st.audit.records)
+        records[2] = replace(records[2], **changes)
+        assert audit_verify(records) == ig.AuditResult(False, 2, "bad_field")
+
+    def test_bool_seq_would_splice_as_one(self):
+        # why the gate matters: canonical_json writes True as true, a spliced
+        # int repr would write 1, so a bool seq never reaches the hash
+        assert int.__repr__(True) == "1" and canonical_json(True) == b"true"
+        log = ig.AuditLog()
+        log.append("a", "x", ALLOWED, "d")
+        log.append("a", "x", ALLOWED, "d")
+        records = list(log.records)
+        records[1] = replace(records[1], seq=True)
+        assert audit_verify(records) == ig.AuditResult(False, 1, "bad_field")
+
+
+# Characters that json escapes or passes through in interesting ways:
+# quotes, backslashes, C0 controls, DEL, NEL, line and paragraph separators,
+# non-ASCII in and beyond the basic plane.
+_TEXT_ALPHABET = (
+    'abcXYZ019 -_:|,/"\\'
+    + "".join(map(chr, range(0x20)))
+    + "\x7f\x85\xa0\u00e9\u2028\u2029\u4e2d\ufeff\U0001f600"
+)
+
+
+def _random_text(rng: random.Random) -> str:
+    return "".join(rng.choice(_TEXT_ALPHABET) for _ in range(rng.randrange(0, 12)))
+
+
+STREAM_TELLERS = ("alice", "zo\u00eb", 'q"uote', "back\\slash", "ctl\x01", "sep\u2028", "nel\x85", "\u4e2d")
+
+
+def seeded_policy_stream(n: int, seed: int = 0x5EED) -> PolicyState:
+    """A policy under n seeded guarded actions: executes, grants and
+    revokes (by privileged and unprivileged admins, of triples that may
+    never have been granted) and promotions, allowed and denied."""
+    rng = random.Random(seed)
+    st = PolicyState()
+    st.register_subject(Subject("cert", biba_level=3))
+    for admin in ("root", "r\u00f4ot"):
+        st.register_subject(Subject(admin, biba_level=3, privileged=True))
+    for teller in STREAM_TELLERS:
+        st.register_subject(Subject(teller, biba_level=rng.choice((1, 2))))
+    accts = [f"acct{i:02d}" for i in range(12)]
+    raws = [f"raw{i}" for i in range(6)]
+    for a in accts:
+        st.register_item(DataItem(a, CDI, rng.choice((1, 2)), str(rng.randrange(1000)).encode()))
+        st.register_ivp(a, ig.ivp_non_negative_int)
+    for r in raws:
+        st.register_item(DataItem(r, UDI, 1, rng.choice((b" 12 ", b"x", b"-3", b"\xc3\xa9"))))
+        st.register_ivp(r, ig.ivp_non_negative_int)
+    for tp, fn in (("credit", ig.tp_credit), ("debit", ig.tp_debit), ("sanitize", ig.tp_sanitize_int)):
+        st.register_tp(tp, fn, certified_by="cert")
+    for teller in STREAM_TELLERS:
+        st.add_triple(Triple.of(teller, "credit", rng.sample(accts, 3)))
+    for _ in range(n - len(st.audit)):
+        roll = rng.random()
+        actor = rng.choice(STREAM_TELLERS)
+        if roll < 0.6:
+            amount = rng.choice((rng.randrange(1, 500), rng.randrange(1, 500), "x"))
+            targets = rng.sample(accts, rng.choice((1, 2)))
+            st.execute_tp(actor, rng.choice(("credit", "debit")), targets, {"amount": amount})
+        elif roll < 0.9:
+            admin = rng.choice(("root", "r\u00f4ot", actor))
+            tp = rng.choice(("credit", "debit", "sanitize"))
+            pool = raws if tp == "sanitize" else accts
+            triple = Triple.of(actor, tp, rng.sample(pool, rng.choice((1, 2, 3))))
+            st.alter_authorization(admin, triple, rng.choice((ig.GRANT, ig.REVOKE)))
+        else:
+            try:
+                st.promote_udi(actor, "sanitize", rng.choice(raws))
+            except AlreadyConstrained:
+                pass
+    return st
+
+
+class TestSplicedPreimage:
+    def test_equals_canonical_json_on_random_records(self, monkeypatch):
+        # with sha256d made the identity, _record_hash returns its preimage
+        monkeypatch.setattr(ig, "sha256d", lambda data: data)
+        rng = random.Random(0xA0D17)
+        for _ in range(20_000):
+            seq = rng.choice((rng.randrange(10), rng.randrange(-(2**70), 2**70)))
+            actor, action, outcome, detail = (_random_text(rng) for _ in range(4))
+            prev_hash = rng.randbytes(32)
+            expected = canonical_json(
+                {
+                    "seq": seq,
+                    "actor": actor,
+                    "action": action,
+                    "outcome": outcome,
+                    "detail": detail,
+                    "prev_hash": prev_hash.hex(),
+                }
+            )
+            assert ig._record_hash(seq, actor, action, outcome, detail, prev_hash) == expected
+
+    def test_seeded_stream_digests_frozen(self):
+        # generated by the json.dumps preimage that the splice replaced
+        st = seeded_policy_stream(2000)
+        assert len(st.audit) == 2000
+        digest = hashlib.sha256(st.audit.to_jsonl().encode("utf-8")).hexdigest()
+        assert digest == "a20897f9c9f5d0e000e2802b96279078e23f11378eabb051951ed5aa1b0c754a"
+        assert st.audit.records[-1].record_hash.hex() == "4f8b6caf59e17e0557c88f19d09b043273f31b0f99e6d945b54a4a26aaaa5d04"
+        assert st.audit.verify().valid
+
+
+class TestTripleIndex:
+    """The per-(subject, TP) index answers as the linear scan over every
+    granted triple did, on random grant/revoke/execute/promote streams."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_index_agrees_with_linear_scan(self, seed):
+        rng = random.Random(seed)
+        st = base_state()
+        st.register_subject(Subject("dave", biba_level=2))
+        for i in range(6):
+            st.register_item(DataItem(f"u{i}", UDI, biba_level=1, value=str(i).encode()))
+        granted = set(st.triples())
+        subjects = ("alice", "bob", "dave")
+        tps = ("credit", "debit", "sanitize")
+        items = ("acct", "acct2", "high", "raw") + tuple(f"u{i}" for i in range(6))
+        for _ in range(1500):
+            roll = rng.random()
+            subject, tp = rng.choice(subjects), rng.choice(tps)
+            targets = frozenset(rng.sample(items, rng.choice((1, 1, 2, 3))))
+            assert st._match_triple(subject, tp, targets) == triple_match_oracle(
+                granted, subject, tp, targets
+            )
+            if roll < 0.25:
+                triple = Triple(subject, tp, targets)
+                res = st.alter_authorization("root", triple, ig.GRANT)
+                assert res.allowed
+                granted.add(triple)
+            elif roll < 0.5:
+                # half of these name a triple that was never granted
+                pick = rng.choice(sorted(granted, key=repr)) if granted and rng.random() < 0.5 else None
+                triple = pick or Triple(subject, tp, targets)
+                res = st.alter_authorization("root", triple, ig.REVOKE)
+                assert res.allowed == (triple in granted)
+                assert res.allowed or res.reason == "no_such_triple"
+                granted.discard(triple)
+            elif roll < 0.85:
+                res = st.execute_tp(subject, tp, sorted(targets), {"amount": 1})
+                if res.reason == "no_matching_triple":
+                    assert not triple_match_oracle(granted, subject, tp, targets)
+            else:
+                udi = rng.choice(items)
+                try:
+                    res = st.promote_udi(subject, tp, udi, {"value": 1})
+                except AlreadyConstrained:
+                    continue
+                matched = triple_match_oracle(granted, subject, tp, {udi})
+                assert (res.reason == "no_matching_triple") == (not matched)
+            assert st.triples() == frozenset(granted)
+        assert st.audit.verify().valid
 
 
 class TestPolicyFile:

@@ -376,6 +376,16 @@ class TestRunCycle:
             assert set(report.instruction_counts) == {st.SETTLED}
             assert report.gross_obligations >= report.net_obligations
 
+    @pytest.mark.parametrize("mode", [st.MODE_BILATERAL, st.MODE_CCP, st.MODE_CONSORTIUM])
+    def test_each_signature_is_verified_once(self, mode, monkeypatch):
+        from ledgerstack import crypto
+
+        calls = []
+        real = crypto.verify
+        monkeypatch.setattr(crypto, "verify", lambda *a: calls.append(a) or real(*a))
+        st.run_cycle(constant_flow(days=4), st.CycleConfig(lag_days=2, mode=mode))
+        assert calls and len(calls) == len(set(calls))
+
     def test_three_chains_populated(self):
         report = st.run_cycle(constant_flow(days=3), st.CycleConfig(lag_days=1))
         assert set(report.chains) == {"exchange", "clearing", "settlement"}

@@ -285,6 +285,15 @@ class TestReplay:
             tsa.replay(led.chain.blocks, led.chain.config)
 
 
+def test_replay_of_the_live_chain_verifies_nothing_again(monkeypatch):
+    led = run_two_days()
+    calls = []
+    real = crypto.verify
+    monkeypatch.setattr(crypto, "verify", lambda *a: calls.append(a) or real(*a))
+    assert tsa.replay(led.chain.blocks, led.chain.config) == led.state()
+    assert calls == []
+
+
 class TestDeterminism:
     def test_same_operations_export_identical_bytes(self):
         a = run_two_days()
