@@ -24,8 +24,11 @@ and verify_chain reports that code with the height. Transaction.verify
 and Approval.verify (per block id) memoize on the object the exact content
 Ed25519 accepted, so a memo hit means the same object with the same bytes,
 already verified in this process. A copy (replace, deepcopy, pickle, an
-import) or a mutated field is verified again. Import checks each tx_id, and
-the first verify of that transaction reuses the check instead of hashing again.
+import) or a mutated field is verified again. Create and import check each
+tx_id, and the first verify of that transaction reuses the check instead of
+hashing again. verify_chain first checks, in one crypto.verify_many batch,
+every transaction signature not yet accepted, so a cold chain is verified on
+every CPU the process may run on; its walk then meets only memos.
 """
 
 from __future__ import annotations
@@ -164,13 +167,16 @@ class Transaction:
     def create(cls, kind: str, payload_obj: Any, keypair: crypto.KeyPair) -> "Transaction":
         payload = canonical_json(payload_obj)
         signing = cls.preimage(kind, payload, keypair.public)
-        return cls(
+        tx = cls(
             kind=kind,
             payload=payload,
             author_pk=keypair.public,
             signature=crypto.sign(keypair.secret, signing),
             tx_id=sha256d(signing),
         )
+        # the id check is done; the first verify still runs Ed25519
+        object.__setattr__(tx, "_verified", ((kind, payload, keypair.public, tx.tx_id), None))
+        return tx
 
     def signing_bytes(self) -> bytes:
         return self.preimage(self.kind, self.payload, self.author_pk)
@@ -565,6 +571,7 @@ def verify_chain(blocks: Sequence[Block], config: ChainConfig) -> VerifyResult:
     """
     if not blocks:
         return VerifyResult(False, 0, R_BAD_GENESIS)
+    _verify_new_signatures(blocks)
     seen: set[bytes] = set()
     parent_id = ZERO32
     for height, block in enumerate(blocks):
@@ -574,6 +581,26 @@ def verify_chain(blocks: Sequence[Block], config: ChainConfig) -> VerifyResult:
         seen.update(tx.tx_id for tx in block.txs)
         parent_id = block.block_id
     return VerifyResult(True)
+
+
+def _verify_new_signatures(blocks: Sequence[Block]) -> None:
+    """Check in one crypto.verify_many batch every transaction signature not
+    yet accepted in this process, and memoize those Ed25519 accepts.
+
+    The walk then finds them memoized. A transaction that fails here, or
+    whose content does not hash to its id, is left for the walk to reject.
+    """
+    pending = []
+    for block in blocks:
+        for tx in block.txs:
+            if tx._verified is None or tx._verified[1] is None:
+                signing = tx.signing_bytes()
+                if tx._id_matches(signing):
+                    pending.append((tx, signing))
+    accepted = crypto.verify_many([(tx.author_pk, signing, tx.signature) for tx, signing in pending])
+    for (tx, _), ok in zip(pending, accepted):
+        if ok:
+            object.__setattr__(tx, "_verified", (tx._verified[0], tx.signature))
 
 
 # ---------------------------------------------------------------------------

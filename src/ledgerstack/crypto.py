@@ -7,9 +7,12 @@ lowercase hex characters wherever they leave the process.
 
 from __future__ import annotations
 
+import atexit
 import functools
 import hashlib
 import json
+import os
+import threading
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -58,9 +61,11 @@ def canonical_json(obj: Any) -> bytes:
 
     This is the one canonical byte form used for every hash preimage built
     from structured data (transactions, audit records, contract params).
+    NaN and the infinities have no JSON form (RFC 8259 section 6) and raise
+    ValueError.
     """
     return json.dumps(
-        obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False
+        obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False, allow_nan=False
     ).encode("utf-8")
 
 
@@ -184,6 +189,102 @@ def verify(public: bytes, message: bytes, signature: bytes) -> bool:
         return True
     except (InvalidSignature, ValueError, TypeError):
         return False
+
+
+# Below this many signatures a batch is verified inline: handing a share to
+# a worker and waking it costs about as much as fifteen verifies.
+PARALLEL_MIN = 256
+
+# (pid of the process that created it, ProcessPoolExecutor); a forked
+# child must not share its parent's pool.
+_pool: tuple[int, Any] | None = None
+
+
+def _verify_share(items: Sequence[tuple[bytes, bytes, bytes]]) -> list[bool]:
+    return [verify(*item) for item in items]
+
+
+def _worker_pool(batch: int, cpus: int) -> Any:
+    """The process pool that verifies the shares after the first, or None
+    to verify the whole batch inline."""
+    global _pool
+    if batch < PARALLEL_MIN or cpus < 2:
+        return None
+    if _pool is None or _pool[0] != os.getpid():
+        if threading.active_count() > 1:
+            return None  # forking a process that runs other threads can deadlock
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        # fork, not spawn: a spawned worker re-imports __main__, which a
+        # script read from stdin cannot provide
+        executor = ProcessPoolExecutor(
+            cpus - 1,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_exit_with_parent,
+            initargs=(os.getpid(),),
+        )
+        _pool = (os.getpid(), executor)
+        # released at exit while the modules it needs are still loaded
+        atexit.register(_drop_pool, executor)
+    return _pool[1]
+
+
+def _exit_with_parent(parent: int) -> None:
+    # An idle worker waits on its call queue for ever, so a parent killed
+    # before its exit handlers run would leave it behind. Linux ends the
+    # worker with its parent (PR_SET_PDEATHSIG); elsewhere this is a no-op.
+    import ctypes
+    import signal
+
+    prctl = getattr(ctypes.CDLL(None), "prctl", None)
+    if prctl is not None:
+        prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+        prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG = 1
+    if os.getppid() != parent:  # the parent died before the call above
+        os._exit(0)
+
+
+def verify_many(items: Sequence[tuple[bytes, bytes, bytes]]) -> list[bool]:
+    """[verify(*t) for t in items] over (public, message, signature) triples.
+
+    Ed25519 verification holds the interpreter lock, so a batch of at least
+    PARALLEL_MIN signatures is split into one contiguous share per CPU this
+    process may run on: this process verifies the first share and a process
+    pool the others. A share whose worker fails is verified inline, so a
+    True is never reported without a verify.
+    """
+    items = list(items)
+    # platforms without CPU affinity (macOS, Windows) verify inline
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    pool = _worker_pool(len(items), cpus)
+    if pool is None:
+        return _verify_share(items)
+    size = -(-len(items) // cpus)
+    shares = [items[i : i + size] for i in range(0, len(items), size)]
+    try:
+        futures = [pool.submit(_verify_share, share) for share in shares[1:]]
+    except RuntimeError:  # a worker was lost while the pool sat idle
+        _drop_pool(pool)
+        return _verify_share(items)
+    results = _verify_share(shares[0])
+    for share, future in zip(shares[1:], futures):
+        try:
+            results += future.result()
+        except Exception:
+            # A lost worker, or a share that could not be sent: verify the
+            # share here, where an error of its own is raised again.
+            _drop_pool(pool)
+            results += _verify_share(share)
+    return results
+
+
+def _drop_pool(pool: Any) -> None:
+    """Shut the pool down and forget it; the next large batch starts a new one."""
+    global _pool
+    if _pool is not None and _pool[1] is pool:
+        _pool = None
+        pool.shutdown()
 
 
 # ---------------------------------------------------------------------------

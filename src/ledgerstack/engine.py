@@ -395,6 +395,11 @@ def _check_expected(line_no: int, expected: dict, actual: dict) -> None:
             raise AssertionFailed(line_no, expected, actual)
 
 
+def _refuse_constant(name: str) -> None:
+    # NaN and the infinities have no canonical JSON form
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def run_scenario(text: str, name: str = "scenario") -> dict:
     """Execute a JSON-lines scenario; returns the report object."""
     state = ScenarioState()
@@ -404,9 +409,11 @@ def run_scenario(text: str, name: str = "scenario") -> dict:
         if not raw or raw.startswith("#"):
             continue
         try:
-            doc = json.loads(raw)
+            doc = json.loads(raw, parse_constant=_refuse_constant)
         except json.JSONDecodeError as exc:
             raise ParseError(line_no, f"bad json: {exc.msg}") from None
+        except ValueError as exc:
+            raise ParseError(line_no, f"bad json: {exc}") from None
         if not isinstance(doc, dict) or not isinstance(doc.get("op"), str):
             raise ParseError(line_no, "each line must be an object with an op")
         doc = _OpLine(doc, line_no)

@@ -245,6 +245,17 @@ class TpResult:
     record: AuditRecord
 
 
+def _require_text(value: Any, what: str) -> None:
+    # Registered ids end up in audit records, which are hashed as UTF-8: an
+    # id that cannot be encoded would fail the audit after a TP committed.
+    if not isinstance(value, str):
+        raise IntegrityError(f"{what} id {value!r} is not text")
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise IntegrityError(f"{what} id {value!r} is not UTF-8 encodable") from None
+
+
 class PolicyState:
     def __init__(self):
         self._subjects: dict[str, Subject] = {}
@@ -258,16 +269,19 @@ class PolicyState:
     # -- registration (bootstrap surface) ------------------------------------
 
     def register_subject(self, subject: Subject) -> None:
+        _require_text(subject.id, "subject")
         if subject.id in self._subjects:
             raise IntegrityError(f"subject {subject.id!r} already registered")
         self._subjects[subject.id] = subject
 
     def register_item(self, item: DataItem) -> None:
+        _require_text(item.id, "item")
         if item.id in self._items:
             raise IntegrityError(f"item {item.id!r} already registered")
         self._items[item.id] = item
 
     def register_tp(self, tp_id: str, fn: TpFn, certified_by: str) -> None:
+        _require_text(tp_id, "tp")
         if tp_id in self._tps:
             raise IntegrityError(f"tp {tp_id!r} already registered")
         if certified_by not in self._subjects:
@@ -428,7 +442,11 @@ class PolicyState:
             new_values = fn({udi_id: item.value}, args)
         except Exception as exc:
             return self._deny(subject_id, action, f"tp_failed:{exc}")
-        if set(new_values) != {udi_id} or not isinstance(new_values[udi_id], bytes):
+        if (
+            not isinstance(new_values, dict)
+            or set(new_values) != {udi_id}
+            or not isinstance(new_values[udi_id], bytes)
+        ):
             return self._deny(subject_id, action, "tp_scope_violation")
         if not self._run_ivp(udi_id, new_values[udi_id]):
             return self._deny(subject_id, action, f"ivp_failed:{udi_id}")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import json
 import pickle
 import struct
 from dataclasses import replace
@@ -139,6 +140,20 @@ class TestTransaction:
 
     def test_payload_roundtrip(self):
         assert tx(5).payload_obj() == {"n": 5, "memo": "payload-5"}
+
+    def test_nan_payload_is_refused(self):
+        with pytest.raises(ValueError):
+            Transaction.create("k", {"a": float("nan")}, AUTHOR)
+
+    def test_create_hashes_once_and_verify_still_checks_the_signature(self, monkeypatch):
+        hashed, checked = [], []
+        real_hash, real_verify = ch.sha256d, crypto.verify
+        monkeypatch.setattr(ch, "sha256d", lambda data: hashed.append(data) or real_hash(data))
+        monkeypatch.setattr(crypto, "verify", lambda *a: checked.append(a) or real_verify(*a))
+        t = tx(3)
+        assert t.verify()
+        assert hashed == [t.signing_bytes()]
+        assert checked == [(AUTHOR.public, t.signing_bytes(), t.signature)]
 
 
 class TestConfig:
@@ -469,6 +484,26 @@ class TestExportImport:
             Chain.import_jsonl(str(path), c.config)
         assert err.value.line == 2
 
+    def test_nan_payload_line_names_its_line(self, monkeypatch):
+        # a chain whose second block was signed over a NaN payload, written
+        # by a writer that still let NaN through
+        c = Chain(quorum_config())
+        grow(c, 1)
+        payload = b'{"a":NaN}'
+        signing = Transaction.preimage("note", payload, AUTHOR.public)
+        forged = Transaction("note", payload, AUTHOR.public, sign(AUTHOR.secret, signing), sha256d(signing))
+        block = c.build_block([forged], wall_time=3000)
+        c.approve_and_append(block, approve(block, VALIDATORS[:2]))
+        grow(c, 1, start=10)
+        with monkeypatch.context() as m:
+            m.setattr(ch, "canonical_json", lambda obj: json.dumps(
+                obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8"))
+            text = c.to_jsonl()
+        assert "NaN" in text.splitlines()[2]
+        with pytest.raises(BadImport) as err:
+            Chain.from_jsonl(text, c.config)
+        assert err.value.line == 3 and "malformed" in str(err.value)
+
     def test_malformed_line_rejected(self, tmp_path):
         path = tmp_path / "junk.jsonl"
         path.write_text('{"height": 0}\n')
@@ -694,3 +729,75 @@ class TestImportHashesOnce:
         lines[2] = lines[2].replace(sig, _flip_first(bytes.fromhex(sig)).hex())
         imported = Chain.from_jsonl("\n".join(lines), c.config)
         assert imported.verify() == ch.VerifyResult(False, 2, ch.R_TX_SIG)
+
+
+@pytest.fixture(scope="module")
+def large_chain() -> tuple[str, ChainConfig]:
+    """JSONL of a chain with enough transactions for verify_chain to hand
+    shares to worker processes."""
+    c = Chain(quorum_config())
+    grow(c, 6, txs_per_block=50)
+    assert len(c.tx_ids) >= crypto.PARALLEL_MIN
+    return c.to_jsonl(), c.config
+
+
+def _tampered(blocks: list[Block], height: int, what: str) -> None:
+    block = blocks[height]
+    if what in ("payload", "signature"):
+        victim = block.txs[-1]
+        hurt = replace(victim, **{what: _flip_first(getattr(victim, what))})
+        blocks[height] = Block(block.header, block.txs[:-1] + (hurt,), block.approvals)
+    elif what == "merkle_root":
+        header = replace(block.header, merkle_root=_flip_first(block.header.merkle_root))
+        blocks[height] = Block(header, block.txs, block.approvals)
+    else:
+        ap = replace(block.approvals[0], signature=_flip_first(block.approvals[0].signature))
+        blocks[height] = Block(block.header, block.txs, (ap,) + block.approvals[1:])
+
+
+class TestParallelVerify:
+    """A cold chain large enough for worker processes verifies to the same
+    result, height and reason as on one CPU."""
+
+    @pytest.mark.parametrize("height", [1, 6])
+    @pytest.mark.parametrize(
+        "what, reason",
+        [
+            (None, None),
+            ("payload", ch.R_MERKLE),
+            ("signature", ch.R_TX_SIG),
+            ("merkle_root", ch.R_MERKLE),
+            ("approval", ch.R_APPROVAL_SIG),
+        ],
+    )
+    def test_same_result_as_inline(self, large_chain, cpus, height, what, reason):
+        text, config = large_chain
+        results = []
+        for n_cpus in (1, 2):
+            cpus(n_cpus)
+            blocks = Chain.from_jsonl(text, config).blocks
+            if what:
+                _tampered(blocks, height, what)
+            results.append(verify_chain(blocks, config))
+        expected = ch.VerifyResult(True) if what is None else ch.VerifyResult(False, height, reason)
+        assert results == [expected, expected]
+
+    def test_tx_failing_in_a_worker_stays_unmemoized(self, large_chain, cpus):
+        text, config = large_chain
+        cpus(2)
+        blocks = Chain.from_jsonl(text, config).blocks
+        _tampered(blocks, 1, "signature")  # the walk stops here
+        _tampered(blocks, 6, "signature")  # checked only in the worker's share
+        assert verify_chain(blocks, config) == ch.VerifyResult(False, 1, ch.R_TX_SIG)
+        *good, bad = blocks[6].txs
+        assert bad._verified[1] is None and not bad.verify()
+        assert all(t._verified[1] == t.signature for t in good)
+
+    def test_memoized_chain_sends_nothing_to_verify(self, large_chain, cpus, verifies):
+        text, config = large_chain
+        cpus(2)
+        imported = Chain.from_jsonl(text, config)
+        assert imported.verify().valid
+        verifies.clear()
+        assert imported.verify().valid
+        assert verifies == []

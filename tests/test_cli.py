@@ -1,6 +1,8 @@
 """Command line interface tests, driven through main() directly."""
 
 import json
+import subprocess
+import sys
 from importlib import resources
 
 import pytest
@@ -72,6 +74,38 @@ class TestChainCommands:
         led.chain.export_jsonl(str(path))
         assert cli.main(["chain", "verify", str(path), "--seed", "11" * 32]) == 0
         assert cli.main(["chain", "verify", str(path), "--seed", "22" * 32]) == 1
+
+    def test_verify_of_a_large_chain_exits_and_releases_its_output(self, tmp_path, child_env):
+        from ledgerstack import crypto, tsa
+
+        led = tsa.TsaLedger(operator_seed=bytes.fromhex("11" * 32))
+        led.open_account("m", tsa.KIND_MAIN)
+        for i in range(crypto.PARALLEL_MIN):
+            led.record_receipt("m", 1, memo=str(i))
+        led.day_close()
+        path = tmp_path / "chain.jsonl"
+        led.chain.export_jsonl(str(path))
+        # two CPUs whatever the host has, so the worker path runs
+        code = (
+            "import os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from ledgerstack.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print('pool used:', 'concurrent.futures' in sys.modules, file=sys.stderr)\n"
+            "sys.exit(code)"
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code, "chain", "verify", str(path), "--seed", "11" * 32],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=child_env,
+        )
+        try:
+            # a worker left running would hold the pipes open past the timeout
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == 0
+        assert out.startswith(f"valid: height 1, {crypto.PARALLEL_MIN + 2} tx(s)")
+        assert err == "pool used: True\n"
 
 
 class TestScenarioCommands:

@@ -7,6 +7,13 @@ oracles.py and the inline expansions below), never from the code under test.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+import pickle
+import signal
+import subprocess
+import sys
+import time
 
 import pytest
 
@@ -27,6 +34,7 @@ from ledgerstack.crypto import (
     sign,
     stamp_period,
     verify,
+    verify_many,
     verify_stamp_chain,
 )
 from oracles import sha256_pure, sha256d_pure
@@ -81,6 +89,11 @@ class TestCanonicalJson:
 
     def test_stable_across_key_insertion_order(self):
         assert canonical_json({"x": 1, "y": 2}) == canonical_json({"y": 2, "x": 1})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_nan_and_infinity_have_no_canonical_form(self, value):
+        with pytest.raises(ValueError):
+            canonical_json({"a": [1, value]})
 
 
 def _items(n: int) -> list[bytes]:
@@ -211,6 +224,136 @@ class TestSignatures:
             keygen(b"\x01" * 31)
         with pytest.raises(BadSeed):
             sign(b"\x01" * 33, b"m")
+
+
+def _mixed_triples(n: int) -> list[tuple]:
+    """Valid, invalid and malformed (public, message, signature) triples."""
+    kp, other = keygen(SEED1), keygen(SEED2)
+    out = []
+    for i in range(n):
+        msg = b"message %d" % i
+        sig = sign(kp.secret, msg)
+        out.append(
+            [
+                (kp.public, msg, sig),
+                (kp.public, msg + b"!", sig),  # another message
+                (other.public, msg, sig),  # another key
+                (kp.public, msg, sig[:-1]),  # short signature
+                (b"not-a-key", msg, sig),
+                (None, msg, sig),  # not bytes
+                (kp.public, msg, sig),
+            ][i % 7]
+        )
+    return out
+
+
+TRIPLES = _mixed_triples(2 * crypto.PARALLEL_MIN + 3)
+EXPECTED = [verify(*t) for t in TRIPLES]
+
+
+class TestVerifyMany:
+    """verify_many returns what verify returns, one triple at a time, on
+    the inline path and on the worker path alike."""
+
+    @pytest.mark.parametrize("n_cpus", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "size", [0, 1, 7, crypto.PARALLEL_MIN - 1, crypto.PARALLEL_MIN, len(TRIPLES)]
+    )
+    def test_parity_with_verify(self, cpus, n_cpus, size):
+        cpus(n_cpus)
+        assert verify_many(TRIPLES[:size]) == EXPECTED[:size]
+
+    def test_large_batch_leaves_later_shares_to_workers(self, cpus, monkeypatch):
+        cpus(2)
+        seen = []
+        real = crypto.verify
+        monkeypatch.setattr(crypto, "verify", lambda *t: seen.append(t) or real(*t))
+        assert verify_many(TRIPLES) == EXPECTED
+        assert seen == TRIPLES[: -(-len(TRIPLES) // 2)]
+
+    def test_share_of_a_lost_worker_is_verified_inline(self, cpus):
+        cpus(2)
+        assert verify_many(TRIPLES) == EXPECTED  # the pool is up
+        for child in multiprocessing.active_children():
+            os.kill(child.pid, signal.SIGKILL)
+            child.join(timeout=10)
+        assert verify_many(TRIPLES) == EXPECTED
+        assert verify_many(TRIPLES) == EXPECTED  # on a new pool
+
+    def test_share_that_cannot_be_sent_is_verified_inline(self, cpus):
+        cpus(2)
+        items = TRIPLES[:-1] + [(TRIPLES[0][0], memoryview(TRIPLES[0][1]), TRIPLES[0][2])]
+        with pytest.raises(TypeError):
+            pickle.dumps(items[-1])
+        assert verify_many(items) == [verify(*t) for t in items]
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+    def test_workers_end_with_a_killed_parent(self, child_env):
+        code = (
+            "import multiprocessing, os, sys, time\n"
+            "from ledgerstack import crypto\n"
+            "crypto.os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "kp = crypto.keygen(bytes(32))\n"
+            "crypto.verify_many([(kp.public, b'm', crypto.sign(kp.secret, b'm'))] * crypto.PARALLEL_MIN)\n"
+            "print(*[c.pid for c in multiprocessing.active_children()], flush=True)\n"
+            "time.sleep(60)"
+        )
+        def running(pid: int) -> bool:
+            try:
+                with open(f"/proc/{pid}/stat") as fh:
+                    return fh.read().rsplit(") ", 1)[1][0] != "Z"
+            except FileNotFoundError:
+                return False
+
+        parent = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True, env=child_env)
+        with parent.stdout:
+            workers = [int(pid) for pid in parent.stdout.readline().split()]
+            parent.terminate()  # SIGTERM: no exit handlers run
+            parent.wait(timeout=60)
+        try:
+            deadline = time.monotonic() + 30
+            while any(map(running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert workers and not any(map(running, workers))
+        finally:
+            for pid in filter(running, workers):
+                os.kill(pid, signal.SIGKILL)
+
+    @pytest.mark.parametrize(
+        "code, printed",
+        [
+            # importing the package starts and imports nothing of the pool
+            (
+                "import importlib, pkgutil, sys, ledgerstack\n"
+                "for m in pkgutil.iter_modules(ledgerstack.__path__):\n"
+                "    importlib.import_module('ledgerstack.' + m.name)\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))",
+                "[]",
+            ),
+            # a process that runs other threads is never forked
+            (
+                "import sys, threading\n"
+                "from ledgerstack import crypto\n"
+                "crypto.os.sched_getaffinity = lambda pid: {0, 1}\n"
+                "kp = crypto.keygen(bytes(32))\n"
+                "items = [(kp.public, b'm', crypto.sign(kp.secret, b'm'))] * crypto.PARALLEL_MIN\n"
+                "stop = threading.Event()\n"
+                "waiter = threading.Thread(target=stop.wait)\n"
+                "waiter.start()\n"
+                "ok = crypto.verify_many(items) == [True] * len(items)\n"
+                "stop.set()\n"
+                "waiter.join()\n"
+                "print(ok, crypto._pool, 'multiprocessing' in sys.modules)",
+                "True None False",
+            ),
+        ],
+    )
+    def test_in_a_fresh_interpreter(self, code, printed, child_env):
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == printed
 
 
 class TestPeriodStamp:

@@ -48,6 +48,14 @@ class TestParsing:
             engine.run_scenario(text)
         assert e.value.line == 4
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_number_names_its_line(self, constant):
+        # canonical JSON has no form for them, so they are refused on input
+        text = '{"op": "tsa_init"}\n' + '{"op": "deploy", "code_id": "counter", "init": {"x": %s}}' % constant
+        with pytest.raises(engine.ParseError, match=f"bad json: {constant}") as e:
+            engine.run_scenario(text)
+        assert e.value.line == 2
+
     def test_empty_scenario_is_a_valid_report(self):
         report = engine.run_scenario("# nothing but comments\n", "empty")
         assert report == {"scenario": "empty", "ops": [], "summary": {"op_count": 0}}

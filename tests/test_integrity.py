@@ -256,6 +256,16 @@ class TestRule5Promotion:
         res = st.promote_udi("bob", "sanitize", "raw")
         assert not res.allowed and res.reason == "no_matching_triple"
 
+    @pytest.mark.parametrize("result", [None, ["raw"], 5])
+    def test_non_dict_tp_result_is_denied(self, result):
+        st = base_state()
+        st.register_tp("odd", lambda values, args: result, certified_by="carol")
+        st.add_triple(Triple.of("alice", "odd", {"raw"}))
+        res = st.promote_udi("alice", "odd", "raw")
+        assert not res.allowed and res.reason == "tp_scope_violation"
+        assert st.get_item("raw") == DataItem("raw", UDI, biba_level=1, value=b" 42 ")
+        assert (res.record.outcome, res.record.detail) == (DENIED, "tp_scope_violation")
+
 
 class TestRule6PrivilegedAuthorization:
     def test_non_privileged_denied_and_audited(self):
@@ -580,6 +590,25 @@ class TestPolicyFile:
         doc["triples"] = [{"subject": "certifier", "tp": "credit", "cdis": ["balance"]}]
         with pytest.raises(SeparationOfDuty):
             load_policy(doc)
+
+    @pytest.mark.parametrize("bad_id", ["t\ud800", 5])
+    @pytest.mark.parametrize("section", ["subjects", "items", "tps"])
+    def test_load_refuses_an_id_that_is_not_utf8_text(self, section, bad_id):
+        doc = {key: [dict(entry) for entry in self.DOC[key]] for key in ("subjects", "items", "tps")}
+        doc[section][0]["id"] = bad_id
+        with pytest.raises(ig.IntegrityError, match="UTF-8|not text"):
+            load_policy(doc)
+
+    def test_unencodable_id_cannot_commit_unaudited(self):
+        # before: the subject registered, execute_tp committed the credit and
+        # then hashing its audit record raised UnicodeEncodeError
+        st = base_state()
+        with pytest.raises(ig.IntegrityError):
+            st.register_subject(Subject("t\ud800", biba_level=2))
+        with pytest.raises(UnknownEntity):
+            st.add_triple(Triple.of("t\ud800", "credit", {"acct"}))
+        assert st.get_item("acct").value == b"100"
+        assert len(st.audit) == 0
 
     def test_load_rejects_unknown_builtin(self):
         doc = dict(self.DOC)
