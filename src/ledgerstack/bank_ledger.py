@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Iterable, Mapping, Sequence
 
+from .crypto import is_money
+
 SALES_DAY = "sales_day"
 PURCHASE_DAY = "purchase_day"
 SALES_RETURNS = "sales_returns"
@@ -100,7 +102,7 @@ class PrimeEntry:
     def __post_init__(self):
         if self.book not in BOOKS:
             raise UnknownBook(f"unknown book {self.book!r}")
-        if not isinstance(self.amount, int) or isinstance(self.amount, bool) or self.amount <= 0:
+        if not is_money(self.amount):
             raise NonPositiveAmount(f"amount must be a positive integer, got {self.amount!r}")
 
     @property
@@ -174,7 +176,7 @@ class JournalEntry:
         for line in self.lines:
             if line.side not in (DEBIT, CREDIT):
                 raise UnbalancedEntry(f"unknown side {line.side!r}")
-            if not isinstance(line.amount, int) or isinstance(line.amount, bool) or line.amount <= 0:
+            if not is_money(line.amount):
                 raise NonPositiveAmount("entry line amounts must be positive integers")
             if line.side == DEBIT:
                 debits += line.amount

@@ -211,7 +211,7 @@ def _condpay_init(ctx: InvokeContext) -> None:
         if not isinstance(args.get(key), str) or not args[key]:
             raise InvalidParams(f"{key} must be a non-empty string")
     amount = args.get("amount")
-    if not isinstance(amount, int) or isinstance(amount, bool) or amount <= 0:
+    if not crypto.is_money(amount):
         raise InvalidParams("amount must be a positive integer")
     cond = args.get("condition_hash")
     try:

@@ -56,6 +56,11 @@ def sha256d(data: bytes) -> bytes:
     return hashlib.sha256(hashlib.sha256(data).digest()).digest()
 
 
+def is_money(value: Any) -> bool:
+    """The one money rule: an int, not a bool (nor a float), above zero."""
+    return type(value) is int and value > 0
+
+
 def canonical_json(obj: Any) -> bytes:
     """Key-sorted, minimal-whitespace UTF-8 JSON bytes.
 

@@ -88,10 +88,11 @@ class ScenarioState:
         return self.keys[name]
 
 
-def _seed_bytes(doc: dict, key: str, fallback: bytes) -> bytes:
-    if key in doc:
-        return bytes.fromhex(doc[key])
-    return fallback
+def _seed_bytes(doc: _OpLine, key: str, fallback: bytes | None = None) -> bytes:
+    try:
+        return bytes.fromhex(doc[key]) if key in doc or fallback is None else fallback
+    except (TypeError, ValueError):
+        raise ParseError(doc.line, f"{key} must be hex text, got {doc[key]!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -207,14 +208,14 @@ def _op_keygen(state: ScenarioState, doc: dict) -> dict:
     name = doc["name"]
     if name in state.keys:
         raise EngineError(f"key {name!r} already exists")
-    state.keys[name] = crypto.keygen(bytes.fromhex(doc["seed"]))
+    state.keys[name] = crypto.keygen(_seed_bytes(doc, "seed"))
     return {"name": name, "public": state.keys[name].public.hex()}
 
 
 def _op_fund(state: ScenarioState, doc: _OpLine) -> dict:
     pk = state.key(doc["name"]).public
     amount = doc["amount"]
-    if type(amount) is not int or amount <= 0:  # bool and float are not money
+    if not crypto.is_money(amount):
         raise ParseError(doc.line, f"fund amount must be a positive integer, got {amount!r}")
     state.balances[pk] = state.balances.get(pk, 0) + amount
     return {"name": doc["name"], "balance": state.balances[pk]}
@@ -308,9 +309,11 @@ def _op_classify(state: ScenarioState, doc: dict) -> dict:
 
 
 def _op_ecl(state: ScenarioState, doc: dict) -> dict:
-    provision, _ = bank.ecl_provision(
-        doc["exposure"], doc["pd_12m"], doc["pd_lifetime"], doc["lgd"], doc["stage"]
-    )
+    keys = ("exposure", "pd_12m", "pd_lifetime", "lgd")
+    for key in keys:
+        if type(doc[key]) not in (int, float):
+            raise ParseError(doc.line, f"{key} must be a number, got {doc[key]!r}")
+    provision, _ = bank.ecl_provision(*(doc[key] for key in keys), doc["stage"])
     return {"provision": provision}
 
 
@@ -404,7 +407,7 @@ def run_scenario(text: str, name: str = "scenario") -> dict:
     """Execute a JSON-lines scenario; returns the report object."""
     state = ScenarioState()
     ops: list[dict[str, Any]] = []
-    for line_no, raw in enumerate(text.splitlines(), 1):
+    for line_no, raw in enumerate(text.split("\n"), 1):  # U+2028 may sit raw in a string
         raw = raw.strip()
         if not raw or raw.startswith("#"):
             continue

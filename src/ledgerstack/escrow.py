@@ -149,7 +149,7 @@ def check_terms(buyer: Any, seller: Any, arbiter: Any, amount: Any, fee: Any) ->
     an integer with 0 <= fee <= amount and amount > 0."""
     if len({buyer, seller, arbiter}) != 3:
         raise DuplicateKey("buyer, seller, and arbiter keys must be distinct")
-    if type(amount) is not int or amount <= 0:  # bool and float are not money
+    if not crypto.is_money(amount):
         raise EscrowError("escrow amount must be a positive integer")
     if type(fee) is not int or fee < 0:
         raise EscrowError("fee must be a non-negative integer")

@@ -345,6 +345,7 @@ class PolicyState:
     def _audit_unknown(self, action: str, what: str) -> None:
         # Unknown ids are rejected before attribution: the actor field stays
         # empty so the log never references an unregistered subject.
+        action, what = (s.encode("utf-8", "backslashreplace").decode() for s in (action, what))
         self.audit.append("", action, DENIED, what)
 
     def _deny(self, actor: str, action: str, reason: str) -> TpResult:

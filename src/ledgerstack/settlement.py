@@ -27,7 +27,7 @@ from typing import Any, Mapping, Sequence
 
 from . import chain as chain_mod
 from .chain import Chain, ChainConfig, Transaction
-from .crypto import keygen, sign
+from .crypto import is_money, keygen, sign
 
 BUY = "buy"
 SELL = "sell"
@@ -80,9 +80,9 @@ class Order:
     def __post_init__(self):
         if self.side not in (BUY, SELL):
             raise SettlementError(f"unknown side {self.side!r}")
-        if self.quantity <= 0:
+        if not is_money(self.quantity):
             raise NonPositiveQuantity("order quantity must be positive")
-        if self.price <= 0:
+        if not is_money(self.price):
             raise SettlementError("order price must be positive")
 
 
@@ -100,9 +100,9 @@ class Trade:
     def __post_init__(self):
         if self.buyer == self.seller:
             raise SettlementError("buyer and seller must differ")
-        if self.quantity <= 0:
+        if not is_money(self.quantity):
             raise NonPositiveQuantity("trade quantity must be positive")
-        if self.price <= 0:
+        if not is_money(self.price):
             raise SettlementError("trade price must be positive")
 
     @property

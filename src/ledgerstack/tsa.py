@@ -20,7 +20,7 @@ from typing import Any, Sequence
 from . import chain as chain_mod
 from . import contracts as contracts_mod
 from .chain import Block, Chain, ChainConfig, Transaction
-from .crypto import keygen, sign
+from .crypto import is_money, keygen, sign
 
 KINDS = contracts_mod.ACCOUNT_KINDS
 
@@ -36,6 +36,7 @@ TX_RECEIPT = "tsa_receipt"
 TX_DISBURSEMENT = "tsa_disbursement"
 TX_SWEEP = "tsa_sweep"
 TX_DAY_CLOSE = "tsa_day_close"
+TX_KINDS = (TX_OPEN, TX_RECEIPT, TX_DISBURSEMENT, TX_SWEEP, TX_DAY_CLOSE)
 
 DEFAULT_OPERATOR_SEED = b"\x42" * 32
 
@@ -84,6 +85,75 @@ class BufferStatus:
     gap: int  # 0 when ok, else the shortfall
 
 
+def _leg(accounts: dict[str, TsaAccount], fields: dict, key: str) -> tuple[TsaAccount, int]:
+    """One money leg: the account named by fields[key], and fields' amount."""
+    try:
+        acct = accounts[fields.get(key)]
+    except (KeyError, TypeError):  # TypeError: an unhashable id
+        raise UnknownAccount(f"no account {fields.get(key)!r}") from None
+    if not is_money(fields.get("amount")):
+        raise NonPositiveAmount(f"amounts must be positive integers, got {fields.get('amount')!r}")
+    return acct, fields["amount"]
+
+
+def apply(accounts: dict[str, TsaAccount], day: int, kind: str, payload: Any) -> int:
+    """Check one transition against every treasury rule, apply it, and
+    return the business day after it. The live ledger and replay both fold
+    it. A refusal (a bad field too) raises TsaError and changes nothing."""
+    if kind not in TX_KINDS:
+        raise TsaError(f"unknown transaction kind {kind!r}")
+    if type(payload) is not dict or payload.get("day") != day:
+        raise TsaError(f"{kind} payload must be an object for day {day}")
+    if kind == TX_RECEIPT:
+        acct, amount = _leg(accounts, payload, "id")
+        acct.balance += amount
+    elif kind == TX_DISBURSEMENT:
+        acct, amount = _leg(accounts, payload, "id")
+        if acct.balance < amount:
+            raise Overdraft(f"account {acct.id!r} holds {acct.balance}, cannot pay {amount}")
+        acct.balance -= amount
+    elif kind == TX_SWEEP:
+        rows = payload.get("transfers")
+        if type(rows) is not list or not all(type(row) is dict for row in rows):
+            raise TsaError("a sweep carries a list of transfer objects")
+        net: dict[str, int] = {}  # checked row by row, applied at the end
+        for row in rows:
+            (src, amount), (dst, _) = _leg(accounts, row, "from"), _leg(accounts, row, "to")
+            net[src.id] = net.get(src.id, 0) - amount
+            if src.balance + net[src.id] < 0:
+                raise Overdraft(f"sweep would overdraw {src.id!r}")
+            net[dst.id] = net.get(dst.id, 0) + amount
+        for acct_id, change in net.items():
+            accounts[acct_id].balance += change
+    elif kind == TX_OPEN:
+        acct_id, acct_kind, cap = payload.get("id"), payload.get("kind"), payload.get("cap")
+        if type(acct_id) is not str:
+            raise TsaError(f"account id must be text, got {acct_id!r}")
+        if acct_id in accounts:
+            raise DuplicateId(f"duplicate open of account {acct_id!r}")
+        if acct_kind not in KINDS:
+            raise TsaError(f"unknown account kind {acct_kind!r}")
+        if acct_kind == KIND_MAIN and any(a.kind == KIND_MAIN for a in accounts.values()):
+            raise SecondMain("the structure has exactly one main account")
+        if acct_kind == KIND_IMPREST and not is_money(cap):
+            raise CapMissing(f"imprest account {acct_id!r} needs a positive cap")
+        if acct_kind != KIND_IMPREST and cap is not None:
+            raise TsaError("only imprest accounts carry a cap")
+        accounts[acct_id] = TsaAccount(id=acct_id, kind=acct_kind, cap=cap)
+    else:
+        rebuilt = {acct_id: acct.balance for acct_id, acct in accounts.items()}
+        recorded = payload.get("balances")
+        if recorded != rebuilt or payload.get("consolidated") != sum(rebuilt.values()):
+            raise TsaError(f"replay mismatch on day {day}: recorded {recorded}, rebuilt {rebuilt}")
+        return day + 1
+    return day
+
+
+def _snapshot(accounts: dict[str, TsaAccount], day: int) -> dict[str, Any]:
+    rows = {k: {"kind": a.kind, "cap": a.cap, "balance": a.balance} for k, a in accounts.items()}
+    return {"day": day, "accounts": dict(sorted(rows.items()))}
+
+
 class TsaLedger:
     def __init__(self, operator_seed: bytes = DEFAULT_OPERATOR_SEED, genesis_time: int = 0):
         self.operator = keygen(operator_seed)
@@ -106,61 +176,31 @@ class TsaLedger:
         self.pending_txs.append(tx)
         return tx
 
-    def _get(self, acct_id: str) -> TsaAccount:
-        acct = self.accounts.get(acct_id)
-        if acct is None:
-            raise UnknownAccount(f"no account {acct_id!r}")
-        return acct
+    def _record(self, kind: str, payload: dict[str, Any]) -> int:
+        # sign first: a payload with no canonical JSON form changes nothing
+        try:
+            tx = Transaction.create(kind, payload, self.operator)
+        except (TypeError, ValueError) as exc:
+            raise TsaError(f"{kind} payload has no canonical JSON form: {exc}") from None
+        next_day = apply(self.accounts, self.day, kind, payload)
+        self.pending_txs.append(tx)
+        return next_day
 
     @property
     def main_id(self) -> str | None:
-        for acct in self.accounts.values():
-            if acct.kind == KIND_MAIN:
-                return acct.id
-        return None
+        return next((a.id for a in self.accounts.values() if a.kind == KIND_MAIN), None)
 
     def open_account(self, acct_id: str, kind: str, cap: int | None = None) -> TsaAccount:
-        if acct_id in self.accounts:
-            raise DuplicateId(f"account {acct_id!r} already exists")
-        if kind not in KINDS:
-            raise TsaError(f"unknown account kind {kind!r}")
-        if kind == KIND_MAIN and self.main_id is not None:
-            raise SecondMain("the structure has exactly one main account")
-        if kind == KIND_IMPREST:
-            if cap is None or cap <= 0:
-                raise CapMissing(f"imprest account {acct_id!r} needs a positive cap")
-        elif cap is not None:
-            raise TsaError("only imprest accounts carry a cap")
-        acct = TsaAccount(id=acct_id, kind=kind, cap=cap)
-        self.accounts[acct_id] = acct
-        self._emit(TX_OPEN, {"id": acct_id, "kind": kind, "cap": cap, "day": self.day})
-        return acct
+        self._record(TX_OPEN, {"id": acct_id, "kind": kind, "cap": cap, "day": self.day})
+        return self.accounts[acct_id]
 
     def record_receipt(self, acct_id: str, amount: int, memo: str = "") -> int:
-        acct = self._get(acct_id)
-        if amount <= 0:
-            raise NonPositiveAmount("receipts must be positive")
-        acct.balance += amount
-        self._emit(
-            TX_RECEIPT,
-            {"id": acct_id, "amount": amount, "memo": memo, "day": self.day},
-        )
-        return acct.balance
+        self._record(TX_RECEIPT, dict(id=acct_id, amount=amount, memo=memo, day=self.day))
+        return self.accounts[acct_id].balance
 
     def record_disbursement(self, acct_id: str, amount: int, memo: str = "") -> int:
-        acct = self._get(acct_id)
-        if amount <= 0:
-            raise NonPositiveAmount("disbursements must be positive")
-        if acct.balance < amount:
-            raise Overdraft(
-                f"account {acct_id!r} holds {acct.balance}, cannot pay {amount}"
-            )
-        acct.balance -= amount
-        self._emit(
-            TX_DISBURSEMENT,
-            {"id": acct_id, "amount": amount, "memo": memo, "day": self.day},
-        )
-        return acct.balance
+        self._record(TX_DISBURSEMENT, dict(id=acct_id, amount=amount, memo=memo, day=self.day))
+        return self.accounts[acct_id].balance
 
     # -- end of day --------------------------------------------------------
 
@@ -180,14 +220,8 @@ class TsaLedger:
             {"balances": balances, "kinds": kinds, "caps": caps},
             budget,
         )["transfers"]
-        for row in plan:
-            src, dst = self._get(row["from"]), self._get(row["to"])
-            if src.balance < row["amount"]:  # pragma: no cover - plan never overdraws
-                raise Overdraft(f"sweep would overdraw {src.id!r}")
-            src.balance -= row["amount"]
-            dst.balance += row["amount"]
         if plan:
-            self._emit(TX_SWEEP, {"transfers": plan, "day": self.day})
+            self._record(TX_SWEEP, {"transfers": plan, "day": self.day})
         return plan
 
     def check_buffer(self, requirement: int) -> BufferStatus:
@@ -195,7 +229,7 @@ class TsaLedger:
         if requirement < 0:
             raise TsaError("requirement must be non-negative")
         main = self.main_id
-        available = self._get(main).balance if main else 0
+        available = self.accounts[main].balance if main else 0
         gap = max(0, requirement - available)
         return BufferStatus(ok=gap == 0, required=requirement, available=available, gap=gap)
 
@@ -203,82 +237,36 @@ class TsaLedger:
         return sum(a.balance for a in self.accounts.values())
 
     def day_close(self) -> Block:
-        """Seal the day's transactions into one block and advance the day.
-
-        The closing snapshot rides in the day-close transaction, so replay
-        can cross-check itself against what was recorded at the time.
-        """
-        self._emit(
-            TX_DAY_CLOSE,
-            {
-                "day": self.day,
-                "consolidated": self.consolidated_position(),
-                "balances": {a.id: a.balance for a in sorted(self.accounts.values(), key=lambda a: a.id)},
-            },
-        )
+        """Seal the day's transactions into one block and advance the day. The
+        closing snapshot rides in the day-close transaction for replay to check."""
+        balances = {acct_id: a.balance for acct_id, a in self.accounts.items()}
+        close = {"day": self.day, "consolidated": sum(balances.values()), "balances": balances}
+        next_day = self._record(TX_DAY_CLOSE, close)
         block = self.chain.build_block(self.pending_txs, wall_time=self.day)
         approval = chain_mod.Approval(
             self.operator.public, sign(self.operator.secret, block.block_id)
         )
         accepted = self.chain.approve_and_append(block, [approval])
         self.pending_txs = []
-        self.day += 1
+        self.day = next_day
         return accepted
 
     def state(self) -> dict[str, Any]:
-        return {
-            "day": self.day,
-            "accounts": {
-                a.id: {"kind": a.kind, "cap": a.cap, "balance": a.balance}
-                for a in sorted(self.accounts.values(), key=lambda a: a.id)
-            },
-        }
+        return _snapshot(self.accounts, self.day)
 
 
 def replay(blocks: Sequence[Block], config: ChainConfig) -> dict[str, Any]:
-    """Rebuild account state purely from the recorded transactions.
-
-    The chain is verified first; the fold then applies each transaction in
-    order and cross-checks every day-close snapshot against the rebuilt
-    balances, so either the history is sound and complete or this raises.
-    """
+    """Rebuild account state from the verified chain by folding apply over
+    its transactions, so replay accepts exactly what the ledger accepts. A
+    refusal re-raises its class, prefixed with block height and tx index."""
     result = chain_mod.verify_chain(blocks, config)
     if not result.valid:
-        raise TsaError(
-            f"chain invalid at height {result.first_bad_height}: {result.reason}"
-        )
-    accounts: dict[str, dict[str, Any]] = {}
-    day = 0
+        raise TsaError(f"chain invalid at height {result.first_bad_height}: {result.reason}")
+    accounts, day = {}, 0
     for block in blocks:
-        for tx in block.txs:
-            payload = tx.payload_obj()
-            if tx.kind == TX_OPEN:
-                if payload["id"] in accounts:
-                    raise TsaError(f"replay: duplicate open for {payload['id']!r}")
-                accounts[payload["id"]] = {
-                    "kind": payload["kind"],
-                    "cap": payload["cap"],
-                    "balance": 0,
-                }
-            elif tx.kind == TX_RECEIPT:
-                accounts[payload["id"]]["balance"] += payload["amount"]
-            elif tx.kind == TX_DISBURSEMENT:
-                accounts[payload["id"]]["balance"] -= payload["amount"]
-            elif tx.kind == TX_SWEEP:
-                for row in payload["transfers"]:
-                    accounts[row["from"]]["balance"] -= row["amount"]
-                    accounts[row["to"]]["balance"] += row["amount"]
-            elif tx.kind == TX_DAY_CLOSE:
-                rebuilt = {aid: acc["balance"] for aid, acc in accounts.items()}
-                if payload["balances"] != rebuilt:
-                    raise TsaError(
-                        f"replay mismatch on day {payload['day']}: "
-                        f"recorded {payload['balances']}, rebuilt {rebuilt}"
-                    )
-                day = payload["day"] + 1
-            else:
-                raise TsaError(f"replay: unknown transaction kind {tx.kind!r}")
-    return {
-        "day": day,
-        "accounts": {aid: dict(acc) for aid, acc in sorted(accounts.items())},
-    }
+        for i, tx in enumerate(block.txs):
+            try:
+                day = apply(accounts, day, tx.kind, tx.payload_obj())
+            except TsaError as exc:
+                raise type(exc)(f"replay at height {block.header.height} tx {i}: {exc}") from None
+    return _snapshot(accounts, day)

@@ -56,6 +56,21 @@ class TestParsing:
             engine.run_scenario(text)
         assert e.value.line == 2
 
+    @pytest.mark.parametrize("sep", ["\u2028", "\u2029", "\x85"])
+    def test_line_separators_inside_strings_keep_line_numbers(self, sep):
+        # before: str.splitlines broke the JSON line at the raw separator
+        text = '{"op": "keygen", "name": "a%sb", "seed": "%s"}\n{nope}' % (sep, "01" * 32)
+        with pytest.raises(engine.ParseError, match="line 2: bad json") as e:
+            engine.run_scenario(text)
+        assert e.value.line == 2
+        report = engine.run_scenario(text.split("\n")[0])
+        assert report["ops"][0]["result"]["name"] == f"a{sep}b"
+
+    def test_crlf_scenario_runs(self):
+        text = '{"op": "tsa_init"}\r\n\r\n{"op": "open", "id": "m", "kind": "main"}\r\n'
+        report = engine.run_scenario(text)
+        assert [op["line"] for op in report["ops"]] == [1, 3]
+
     def test_empty_scenario_is_a_valid_report(self):
         report = engine.run_scenario("# nothing but comments\n", "empty")
         assert report == {"scenario": "empty", "ops": [], "summary": {"op_count": 0}}
@@ -100,6 +115,33 @@ class TestFields:
             return
         with pytest.raises(engine.ParseError, match=f"missing field '{field}'") as e:
             engine.run_scenario(text)
+        assert e.value.line == 2
+
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"op": "keygen", "name": "b", "seed": "zz"},
+            {"op": "keygen", "name": "b", "seed": 5},
+            {"op": "tsa_init", "operator_seed": "zz"},
+            {"op": "tsa_init", "operator_seed": 5},
+            {"op": "tsa_init", "operator_seed": ["00"]},
+        ],
+    )
+    def test_seed_that_is_not_hex_text_names_its_line(self, doc):
+        # before: ValueError or TypeError from bytes.fromhex, without a line
+        with pytest.raises(engine.ParseError, match="line 2: .*seed") as e:
+            engine.run_scenario(lines(self.KEYGEN, doc))
+        assert e.value.line == 2
+
+    @pytest.mark.parametrize("field", ["exposure", "pd_12m", "pd_lifetime", "lgd"])
+    @pytest.mark.parametrize("value", ["x", None, [0.5], True])
+    def test_ecl_field_that_is_not_a_number_names_its_line(self, field, value):
+        # before: TypeError from a comparison, without a line
+        doc = {"op": "ecl", "exposure": 1000, "pd_12m": 0.1, "pd_lifetime": 0.2, "lgd": 0.5, "stage": 1}
+        doc[field] = value
+        with pytest.raises(engine.ParseError, match=f"line 2: .*{field}") as e:
+            engine.run_scenario(lines(self.KEYGEN, doc))
         assert e.value.line == 2
 
 

@@ -159,6 +159,23 @@ class TestRule3Authentication:
         for record in st.audit.records[-2:]:
             assert record.actor == "" and record.outcome == DENIED
 
+    @pytest.mark.parametrize(
+        "call, action, detail",
+        [
+            (("t\ud800", "credit", ["acct"]), "execute_tp:credit", "unknown_subject:t\\ud800"),
+            (("alice", "c\ud800", ["acct"]), "execute_tp:c\\ud800", "unknown_tp:c\\ud800"),
+            (("alice", "credit", ["a\ud800"]), "execute_tp:credit", "unknown_item:a\\ud800"),
+        ],
+    )
+    def test_unknown_id_that_is_not_utf8_is_audited(self, call, action, detail):
+        # before: hashing the refusal's record raised UnicodeEncodeError, unaudited
+        st = base_state()
+        with pytest.raises(UnknownEntity):
+            st.execute_tp(*call, {"amount": 1})
+        last = st.audit.records[-1]
+        assert (last.actor, last.action, last.outcome, last.detail) == ("", action, DENIED, detail)
+        assert audit_verify(st.audit.records).valid
+
     def test_every_audited_actor_is_registered(self):
         st = base_state()
         st.execute_tp("alice", "credit", ["acct"], {"amount": 5})

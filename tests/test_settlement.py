@@ -52,6 +52,17 @@ class TestOrdersAndTrades:
             trade("T1", "a", "b", qty=0)
         assert trade("T1", "a", "b", qty=3, price=7).notional == 21
 
+    def test_money_fields_must_be_ints(self):
+        # before: all three were accepted and the trade had notional 3.0
+        with pytest.raises(st.SettlementError, match="order price must be positive"):
+            st.Order("O1", "a", st.BUY, "BOND", 1, 1.5, 0)
+        with pytest.raises(st.NonPositiveQuantity, match="order quantity must be positive"):
+            st.Order("O1", "a", st.BUY, "BOND", True, 100, 0)
+        with pytest.raises(st.NonPositiveQuantity, match="trade quantity must be positive"):
+            trade("T1", "a", "b", qty=1.5, price=2)
+        with pytest.raises(st.SettlementError, match="trade price must be positive"):
+            trade("T1", "a", "b", price=True)
+
 
 class TestMatching:
     def test_crossing_executes_at_resting_price(self):

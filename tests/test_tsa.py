@@ -1,6 +1,7 @@
 """Treasury account structure, day cycle, and replay tests."""
 
 import dataclasses
+import random
 
 import pytest
 
@@ -299,3 +300,269 @@ class TestDeterminism:
         a = run_two_days()
         b = run_two_days()
         assert a.chain.to_jsonl() == b.chain.to_jsonl()
+
+
+# ---------------------------------------------------------------------------
+# one state machine: the ledger and replay refuse the same transitions
+
+
+def seal(led, balances, day=0):
+    """Sign a day close that agrees with `balances` and seal the pending
+    transactions into a block, as a dishonest operator could."""
+    led._emit(
+        tsa.TX_DAY_CLOSE,
+        {"day": day, "consolidated": sum(balances.values()), "balances": balances},
+    )
+    block = led.chain.build_block(led.pending_txs, wall_time=day)
+    approval = chain_mod.Approval(
+        led.operator.public, crypto.sign(led.operator.secret, block.block_id)
+    )
+    led.chain.approve_and_append(block, [approval])
+    led.pending_txs = []
+    assert led.chain.verify().valid
+
+
+def forged_chain(emits, balances):
+    """A chain opening "main" with 10, then the signed transitions `emits`
+    ([(kind, payload)], day 0), closed with the snapshot `balances`."""
+    led = ledger_with_main(10)
+    for kind, payload in emits:
+        led._emit(kind, payload)
+    seal(led, balances)
+    return led.chain
+
+
+class TestReplayRefusesWhatTheLedgerRefuses:
+    @pytest.mark.parametrize(
+        "emits, balances, error, tx_index",
+        [
+            (  # overdraw to -5
+                [(tsa.TX_DISBURSEMENT, {"id": "main", "amount": 15, "memo": "", "day": 0})],
+                {"main": -5},
+                tsa.Overdraft,
+                2,
+            ),
+            (
+                [(tsa.TX_RECEIPT, {"id": "main", "amount": 1.5, "memo": "", "day": 0})],
+                {"main": 11.5},
+                tsa.NonPositiveAmount,
+                2,
+            ),
+            (
+                [(tsa.TX_RECEIPT, {"id": "main", "amount": -5, "memo": "", "day": 0})],
+                {"main": 5},
+                tsa.NonPositiveAmount,
+                2,
+            ),
+            (
+                [(tsa.TX_RECEIPT, {"id": "main", "amount": True, "memo": "", "day": 0})],
+                {"main": 11},
+                tsa.NonPositiveAmount,
+                2,
+            ),
+            (
+                [(tsa.TX_OPEN, {"id": "main2", "kind": "main", "cap": None, "day": 0})],
+                {"main": 10, "main2": 0},
+                tsa.SecondMain,
+                2,
+            ),
+            (
+                [(tsa.TX_OPEN, {"id": "z", "kind": "zba", "cap": 7, "day": 0})],
+                {"main": 10, "z": 0},
+                tsa.TsaError,
+                2,
+            ),
+            (
+                [(tsa.TX_OPEN, {"id": "p", "kind": "imprest", "cap": 2.5, "day": 0})],
+                {"main": 10, "p": 0},
+                tsa.CapMissing,
+                2,
+            ),
+            (
+                [(tsa.TX_RECEIPT, {"id": "ghost", "amount": 5, "memo": "", "day": 0})],
+                {"main": 10},
+                tsa.UnknownAccount,
+                2,
+            ),
+            (
+                [(tsa.TX_SWEEP, {"transfers": [{"from": "main", "to": "ghost", "amount": 5}], "day": 0})],
+                {"main": 5},
+                tsa.UnknownAccount,
+                2,
+            ),
+            (  # each row fits on its own; together they overdraw main
+                [
+                    (tsa.TX_OPEN, {"id": "z", "kind": "zba", "cap": None, "day": 0}),
+                    (
+                        tsa.TX_SWEEP,
+                        {
+                            "transfers": [
+                                {"from": "main", "to": "z", "amount": 6},
+                                {"from": "main", "to": "z", "amount": 6},
+                            ],
+                            "day": 0,
+                        },
+                    ),
+                ],
+                {"main": -2, "z": 12},
+                tsa.Overdraft,
+                3,
+            ),
+            (
+                [(tsa.TX_SWEEP, {"transfers": [{"from": "main", "to": "main", "amount": 0}], "day": 0})],
+                {"main": 10},
+                tsa.NonPositiveAmount,
+                2,
+            ),
+        ],
+    )
+    def test_forged_transition_is_refused(self, emits, balances, error, tx_index):
+        ch = forged_chain(emits, balances)
+        with pytest.raises(error, match=f"^replay at height 1 tx {tx_index}: ") as info:
+            tsa.replay(ch.blocks, ch.config)
+        assert type(info.value) is error
+
+    def test_unknown_account_kind_is_refused(self):
+        ch = forged_chain(
+            [(tsa.TX_OPEN, {"id": "b", "kind": "bogus", "cap": None, "day": 0})],
+            {"main": 10, "b": 0},
+        )
+        with pytest.raises(tsa.TsaError, match="unknown account kind 'bogus'"):
+            tsa.replay(ch.blocks, ch.config)
+
+    @pytest.mark.parametrize(
+        "kind, payload",
+        [
+            (tsa.TX_RECEIPT, {"day": 0}),
+            (tsa.TX_RECEIPT, {"id": "main", "day": 0}),
+            (tsa.TX_RECEIPT, ["main", 5]),
+            (tsa.TX_RECEIPT, {"id": ["main"], "amount": 5, "day": 0}),
+            (tsa.TX_RECEIPT, {"id": "main", "amount": 5, "day": 3}),
+            (tsa.TX_RECEIPT, {"id": "main", "amount": 5}),
+            (tsa.TX_OPEN, {"kind": "zba", "cap": None, "day": 0}),
+            (tsa.TX_OPEN, {"id": {"x": 1}, "kind": "zba", "cap": None, "day": 0}),
+            (tsa.TX_OPEN, {"id": "z", "kind": ["zba"], "cap": None, "day": 0}),
+            (tsa.TX_SWEEP, {"day": 0}),
+            (tsa.TX_SWEEP, {"transfers": {"from": "main"}, "day": 0}),
+            (tsa.TX_SWEEP, {"transfers": [["main", "main", 1]], "day": 0}),
+            (tsa.TX_SWEEP, {"transfers": [{"to": "main", "amount": 1}], "day": 0}),
+            (tsa.TX_DAY_CLOSE, {"day": 0, "consolidated": 10}),
+            (tsa.TX_DAY_CLOSE, {"day": 0, "balances": {"main": 10}}),
+        ],
+    )
+    def test_malformed_payload_is_a_tsa_error(self, kind, payload):
+        ch = forged_chain([(kind, payload)], {"main": 10})
+        with pytest.raises(tsa.TsaError, match="^replay at height 1 tx 2: "):
+            tsa.replay(ch.blocks, ch.config)
+
+    def test_messages_keep_their_phrases(self):
+        led = ledger_with_main()
+        led._emit(tsa.TX_OPEN, {"id": "main", "kind": "zba", "cap": None, "day": 0})
+        led.day_close()
+        with pytest.raises(tsa.DuplicateId, match="^replay at height 1 tx 1: .*duplicate open"):
+            tsa.replay(led.chain.blocks, led.chain.config)
+
+
+class TestApply:
+    def test_refused_transition_leaves_accounts_unchanged(self):
+        accounts = {}
+        assert tsa.apply(accounts, 0, tsa.TX_OPEN, {"id": "m", "kind": "main", "cap": None, "day": 0}) == 0
+        assert tsa.apply(accounts, 0, tsa.TX_OPEN, {"id": "z", "kind": "zba", "cap": None, "day": 0}) == 0
+        assert tsa.apply(accounts, 0, tsa.TX_RECEIPT, {"id": "m", "amount": 8, "memo": "", "day": 0}) == 0
+        before = {k: dataclasses.replace(v) for k, v in accounts.items()}
+        rows = [{"from": "m", "to": "z", "amount": 5}, {"from": "m", "to": "z", "amount": 5}]
+        with pytest.raises(tsa.Overdraft):
+            tsa.apply(accounts, 0, tsa.TX_SWEEP, {"transfers": rows, "day": 0})
+        rows = [{"from": "m", "to": "z", "amount": 5}, {"from": "z", "to": "ghost", "amount": 1}]
+        with pytest.raises(tsa.UnknownAccount):
+            tsa.apply(accounts, 0, tsa.TX_SWEEP, {"transfers": rows, "day": 0})
+        assert accounts == before
+
+    def test_day_close_returns_the_next_day(self):
+        accounts = {}
+        tsa.apply(accounts, 4, tsa.TX_OPEN, {"id": "m", "kind": "main", "cap": None, "day": 4})
+        close = {"day": 4, "consolidated": 0, "balances": {"m": 0}}
+        assert tsa.apply(accounts, 4, tsa.TX_DAY_CLOSE, close) == 5
+
+    def test_snapshot_with_a_wrong_total_is_refused(self):
+        accounts = {}
+        tsa.apply(accounts, 0, tsa.TX_OPEN, {"id": "m", "kind": "main", "cap": None, "day": 0})
+        with pytest.raises(tsa.TsaError, match="replay mismatch"):
+            tsa.apply(accounts, 0, tsa.TX_DAY_CLOSE, {"day": 0, "consolidated": 3, "balances": {"m": 0}})
+
+
+class TestLiveLedgerRefusals:
+    @pytest.mark.parametrize("amount", [1.5, True, "5", None])
+    def test_amount_must_be_an_int(self, amount):
+        led = ledger_with_main(100)
+        before, pending = led.state(), list(led.pending_txs)
+        with pytest.raises(tsa.NonPositiveAmount):
+            led.record_receipt("main", amount)
+        with pytest.raises(tsa.NonPositiveAmount):
+            led.record_disbursement("main", amount)
+        assert led.state() == before
+        assert led.pending_txs == pending
+
+    def test_imprest_cap_must_be_an_int(self):
+        led = ledger_with_main()
+        with pytest.raises(tsa.CapMissing):
+            led.open_account("petty", tsa.KIND_IMPREST, cap=2.5)
+        assert "petty" not in led.accounts
+
+    @pytest.mark.parametrize("memo", ["\ud800", float("nan"), {1, 2}])
+    def test_payload_without_canonical_json_changes_nothing(self, memo):
+        led = ledger_with_main(100)
+        before, pending = led.state(), list(led.pending_txs)
+        with pytest.raises(tsa.TsaError):
+            led.record_receipt("main", 5, memo=memo)
+        assert led.state() == before
+        assert led.pending_txs == pending
+        led.day_close()
+        assert tsa.replay(led.chain.blocks, led.chain.config) == led.state()
+
+    def test_account_id_must_be_text(self):
+        led = ledger_with_main()
+        with pytest.raises(tsa.TsaError):
+            led.open_account(7, tsa.KIND_ZBA)
+        assert list(led.accounts) == ["main"]
+
+
+def _random_call(led, rng):
+    """One ledger call drawn from a mix of valid and refused ones."""
+    ids = ["main", "m2", "z", "t", "p", "c", "ghost"]
+    amounts = [1, 7, 40, 250, 1000, 0, -3, 1.5, True, float("nan"), "9"]
+    memos = ["", "payroll", "\ud800", "x y"]
+    op = rng.choice(["open", "open", "receipt", "receipt", "receipt", "disburse", "disburse", "sweep"])
+    if op == "open":
+        kind = rng.choice(list(tsa.KINDS) + ["bogus"])
+        cap = rng.choice([None, 50, 0, 2.5]) if rng.random() < 0.7 else 60
+        return lambda: led.open_account(rng.choice(ids), kind, cap=cap)
+    if op == "sweep":
+        return led.end_of_day_sweep
+    method = led.record_receipt if op == "receipt" else led.record_disbursement
+    acct, amount, memo = rng.choice(ids), rng.choice(amounts), rng.choice(memos)
+    return lambda: method(acct, amount, memo=memo)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_differential_ledger_against_replay(seed):
+    rng = random.Random(seed)
+    led = tsa.TsaLedger()
+    refused = closes = 0
+    for _ in range(120):
+        if rng.random() < 0.1:
+            led.day_close()
+            closes += 1
+            assert tsa.replay(led.chain.blocks, led.chain.config) == led.state()
+            continue
+        call = _random_call(led, rng)
+        before, pending = led.state(), list(led.pending_txs)
+        try:
+            call()
+        except tsa.TsaError:
+            refused += 1
+            assert led.state() == before
+            assert led.pending_txs == pending
+    led.day_close()
+    assert tsa.replay(led.chain.blocks, led.chain.config) == led.state()
+    assert refused and closes
