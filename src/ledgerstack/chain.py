@@ -663,11 +663,15 @@ def _block_from_line(line: str, lineno: int) -> Block:
             tx_count=obj["tx_count"],
             nonce=obj["nonce"],
         )
+        numbers = (header.height, header.wall_time, header.tx_count, header.nonce)
+        if any(type(v) is not int for v in numbers):
+            raise TypeError("height, wall_time, tx_count and nonce must be integers")
         stated_id = bytes.fromhex(obj["block_id"])
-    except (KeyError, ValueError, TypeError) as exc:
+        block = Block(header=header, txs=txs, approvals=approvals)
+        block_id = block.block_id  # serialize_header checks ranges and hash lengths
+    except (KeyError, ValueError, TypeError, ChainError, crypto.CryptoError) as exc:
         raise BadImport(lineno, f"malformed block record: {exc}") from exc
-    block = Block(header=header, txs=txs, approvals=approvals)
-    if block.block_id != stated_id:
+    if block_id != stated_id:
         raise BadImport(lineno, "stated block_id does not match recomputed header hash")
     for tx in txs:
         if not tx._id_matches(tx.signing_bytes()):

@@ -30,9 +30,9 @@ from . import escrow as escrow_mod
 from .bank_ledger import classify_ifrs9
 from .settlement import (
     DVP,
-    FOP,
     SettlementError,
     SettlementInstruction,
+    holdings_from,
     net_over_dicts,
     settle_dvp,
     settle_fop,
@@ -354,7 +354,7 @@ def _net_run(ctx: InvokeContext) -> Any:
     ctx.charge(len(trades))
     try:
         return {"positions": net_over_dicts(trades)}
-    except (SettlementError, KeyError, TypeError, ValueError):
+    except (SettlementError, KeyError, TypeError):
         raise ContractError("invalid_trades") from None
 
 
@@ -369,24 +369,23 @@ def _settle_run(ctx: InvokeContext) -> Any:
     if not isinstance(holdings_in, dict) or not isinstance(row, dict):
         raise ContractError("invalid_args")
     ctx.charge(len(holdings_in))
-    holdings = json.loads(crypto.canonical_json(holdings_in).decode("utf-8"))
+    try:
+        holdings = holdings_from(holdings_in)
+    except SettlementError:
+        raise ContractError("invalid_args") from None
     try:
         instr = SettlementInstruction(
             id=str(row["id"]),
             from_member=str(row["from"]),
             to_member=str(row["to"]),
             asset=str(row["asset"]),
-            quantity=int(row["quantity"]),
-            cash=int(row.get("cash", 0)),
+            quantity=row["quantity"],
+            cash=row.get("cash", 0),
             mode=str(row.get("mode", DVP)),
-            unpaid_cash=int(row.get("unpaid_cash", 0)),
+            unpaid_cash=row.get("unpaid_cash", 0),
         )
-    except (SettlementError, KeyError, TypeError, ValueError):
+    except (SettlementError, KeyError):
         raise ContractError("invalid_instruction") from None
-    for member in holdings:
-        holdings.setdefault(member, {})
-        holdings[member].setdefault("cash", 0)
-        holdings[member].setdefault("assets", {})
     result = settle_dvp(holdings, instr) if instr.mode == DVP else settle_fop(holdings, instr)
     return {
         "holdings": holdings,

@@ -61,6 +61,11 @@ def is_money(value: Any) -> bool:
     return type(value) is int and value > 0
 
 
+def is_money_or_zero(value: Any) -> bool:
+    """The money rule for a balance or an optional leg: an int, not a bool, at or above zero."""
+    return type(value) is int and value >= 0
+
+
 def canonical_json(obj: Any) -> bytes:
     """Key-sorted, minimal-whitespace UTF-8 JSON bytes.
 

@@ -89,10 +89,15 @@ class ScenarioState:
 
 
 def _seed_bytes(doc: _OpLine, key: str, fallback: bytes | None = None) -> bytes:
+    if key not in doc and fallback is not None:
+        return fallback
     try:
-        return bytes.fromhex(doc[key]) if key in doc or fallback is None else fallback
+        seed = bytes.fromhex(doc[key])
     except (TypeError, ValueError):
-        raise ParseError(doc.line, f"{key} must be hex text, got {doc[key]!r}") from None
+        seed = b""
+    if len(seed) != crypto.SEED_LEN:
+        raise ParseError(doc.line, f"{key} must be {crypto.SEED_LEN} bytes of hex text, got {doc[key]!r}")
+    return seed
 
 
 # ---------------------------------------------------------------------------
@@ -313,17 +318,23 @@ def _op_ecl(state: ScenarioState, doc: dict) -> dict:
     for key in keys:
         if type(doc[key]) not in (int, float):
             raise ParseError(doc.line, f"{key} must be a number, got {doc[key]!r}")
+    if type(doc["stage"]) is not int or doc["stage"] not in (1, 2, 3):
+        raise ParseError(doc.line, f"stage must be 1, 2 or 3, got {doc['stage']!r}")
     provision, _ = bank.ecl_provision(*(doc[key] for key in keys), doc["stage"])
     return {"provision": provision}
 
 
 def _op_depreciate(state: ScenarioState, doc: dict) -> dict:
-    asset = bank.FixedAsset(
-        cost=doc["cost"],
-        salvage=doc.get("salvage", 0),
-        life_periods=doc["life_periods"],
-        periods_elapsed=doc.get("periods_elapsed", 0),
-    )
+    fields = {
+        "cost": doc["cost"],
+        "salvage": doc.get("salvage", 0),
+        "life_periods": doc["life_periods"],
+        "periods_elapsed": doc.get("periods_elapsed", 0),
+    }
+    for key, value in fields.items():
+        if type(value) is not int:
+            raise ParseError(doc.line, f"{key} must be an integer, got {value!r}")
+    asset = bank.FixedAsset(**fields)
     amount, _ = bank.depreciate(asset)
     return {"amount": amount, "period": asset.periods_elapsed + 1}
 

@@ -151,7 +151,7 @@ def check_terms(buyer: Any, seller: Any, arbiter: Any, amount: Any, fee: Any) ->
         raise DuplicateKey("buyer, seller, and arbiter keys must be distinct")
     if not crypto.is_money(amount):
         raise EscrowError("escrow amount must be a positive integer")
-    if type(fee) is not int or fee < 0:
+    if not crypto.is_money_or_zero(fee):
         raise EscrowError("fee must be a non-negative integer")
     if fee > amount:
         raise FeeTooLarge(f"fee {fee} exceeds escrow amount {amount}")

@@ -8,9 +8,11 @@ transaction creation on the next; netting reads the finalized exchange
 block rather than the in-memory trade list.
 
 Settlement operates on a holdings map: member -> {"cash": int, "assets":
-{symbol: quantity}}. Delivery-versus-payment moves both legs or neither;
-free-of-payment moves the asset leg only and leaves the cash obligation
-visible in the report until a matching payment arrives.
+{symbol: quantity}}. Every obligation moves through one exchange that
+checks both legs and then moves both or neither. Delivery-versus-payment
+exchanges both legs; free-of-payment exchanges the asset leg only and
+leaves the cash obligation visible in the report until a matching payment
+arrives. Every amount that enters settlement passes the money rule.
 
 The exposure metric is settlement-lag risk: at the end of each day the
 cash value of every still-pending obligation is summed; the cumulative
@@ -22,12 +24,12 @@ per-day series plateaus at exactly L * N.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Any, Iterable, Mapping, Sequence
 
 from . import chain as chain_mod
 from .chain import Chain, ChainConfig, Transaction
-from .crypto import is_money, keygen, sign
+from .crypto import is_money, is_money_or_zero, keygen, sign
 
 BUY = "buy"
 SELL = "sell"
@@ -179,10 +181,6 @@ class OrderBook:
         return trades
 
 
-def match_orders(book: OrderBook, order: Order) -> list[Trade]:
-    return book.match(order)
-
-
 # ---------------------------------------------------------------------------
 # Novation
 
@@ -229,56 +227,46 @@ class NetPosition:
     net_cash: int  # received minus paid
 
 
+def _netting(rows: Iterable[tuple[str, str, str, int, int]]) -> list[NetPosition]:
+    """The one netting loop over (buyer, seller, asset, quantity, price)
+    rows: one position per (member, asset) with non-zero quantity or cash,
+    sorted."""
+    acc: dict[tuple[str, str], list[int]] = {}
+    for buyer, seller, asset, qty, price in rows:
+        if not is_money(qty) or not is_money(price):
+            raise NonPositiveQuantity("trade quantity and price must be positive integers")
+        cash = qty * price
+        bought = acc.setdefault((buyer, asset), [0, 0])
+        sold = acc.setdefault((seller, asset), [0, 0])
+        bought[0] += qty
+        bought[1] -= cash
+        sold[0] -= qty
+        sold[1] += cash
+    return [
+        NetPosition(member, asset, qty, cash)
+        for (member, asset), (qty, cash) in sorted(acc.items())
+        if qty or cash
+    ]
+
+
 def net_over_dicts(trades: Sequence[Mapping[str, Any]]) -> list[dict[str, Any]]:
     """Multilateral netting over plain trade dicts.
 
     Each dict needs buyer, seller, asset, quantity, price. Returns one row
     per (member, asset) with non-zero quantity or cash, sorted.
     """
-    acc: dict[tuple[str, str], list[int]] = {}
-    for t in trades:
-        qty = int(t["quantity"])
-        cash = qty * int(t["price"])
-        if qty <= 0 or int(t["price"]) <= 0:
-            raise NonPositiveQuantity("trade quantity and price must be positive")
-        buyer_key = (str(t["buyer"]), str(t["asset"]))
-        seller_key = (str(t["seller"]), str(t["asset"]))
-        acc.setdefault(buyer_key, [0, 0])
-        acc.setdefault(seller_key, [0, 0])
-        acc[buyer_key][0] += qty
-        acc[buyer_key][1] -= cash
-        acc[seller_key][0] -= qty
-        acc[seller_key][1] += cash
-    rows = []
-    for (member, asset) in sorted(acc):
-        qty, cash = acc[(member, asset)]
-        if qty == 0 and cash == 0:
-            continue
-        rows.append(
-            {"member": member, "asset": asset, "net_quantity": qty, "net_cash": cash}
-        )
-    return rows
+    rows = (
+        (str(t["buyer"]), str(t["seller"]), str(t["asset"]), t["quantity"], t["price"])
+        for t in trades
+    )
+    return [asdict(p) for p in _netting(rows)]
 
 
 def net_positions(trades: Sequence[Trade]) -> list[NetPosition]:
     """Net positions over live (non-superseded) trades."""
-    rows = net_over_dicts(
-        [
-            {
-                "buyer": t.buyer,
-                "seller": t.seller,
-                "asset": t.asset,
-                "quantity": t.quantity,
-                "price": t.price,
-            }
-            for t in trades
-            if not t.superseded
-        ]
+    return _netting(
+        (t.buyer, t.seller, t.asset, t.quantity, t.price) for t in trades if not t.superseded
     )
-    return [
-        NetPosition(r["member"], r["asset"], r["net_quantity"], r["net_cash"])
-        for r in rows
-    ]
 
 
 def gross_obligation_sum(trades: Sequence[Trade]) -> int:
@@ -312,6 +300,19 @@ def fund(holdings: Holdings, member: str, cash: int = 0, assets: Mapping[str, in
         entry["assets"][sym] = entry["assets"].get(sym, 0) + qty
 
 
+def holdings_from(entries: Mapping[str, Mapping[str, Any]]) -> Holdings:
+    """A fresh holdings map from member -> {"cash": int, "assets": {symbol:
+    int}}, a missing leg reading as empty. Refuses any amount that is not
+    an int (nor a bool) at or above zero."""
+    holdings = new_holdings()
+    for member, entry in entries.items():
+        cash, assets = entry.get("cash", 0), entry.get("assets", {})
+        if not is_money_or_zero(cash) or not all(map(is_money_or_zero, assets.values())):
+            raise SettlementError(f"holdings of {member!r} must be integers >= 0")
+        holdings[member] = {"cash": cash, "assets": dict(assets)}
+    return holdings
+
+
 def _cash(holdings: Holdings, member: str) -> int:
     return holdings.get(member, {}).get("cash", 0)
 
@@ -319,18 +320,20 @@ def _asset(holdings: Holdings, member: str, asset: str) -> int:
     return holdings.get(member, {}).get("assets", {}).get(asset, 0)
 
 
-def _move_asset(holdings: Holdings, src: str, dst: str, asset: str, qty: int) -> None:
-    fund(holdings, src)
-    fund(holdings, dst)
-    holdings[src]["assets"][asset] = _asset(holdings, src, asset) - qty
-    holdings[dst]["assets"][asset] = _asset(holdings, dst, asset) + qty
-
-
-def _move_cash(holdings: Holdings, src: str, dst: str, amount: int) -> None:
-    fund(holdings, src)
-    fund(holdings, dst)
-    holdings[src]["cash"] -= amount
-    holdings[dst]["cash"] += amount
+def _exchange(
+    holdings: Holdings, deliverer: str, payer: str, asset: str, quantity: int, cash: int
+) -> str | None:
+    """The one settlement money move: deliverer hands `quantity` of `asset`
+    to payer, who pays `cash` back. Both legs are checked before either
+    moves, so both move or neither does. A zero leg does not move. Returns
+    the reason the short leg fails, or None once both have moved."""
+    if _asset(holdings, deliverer, asset) < quantity:
+        return INSUFFICIENT_ASSET
+    if _cash(holdings, payer) < cash:
+        return INSUFFICIENT_CASH
+    fund(holdings, deliverer, cash, {asset: -quantity} if quantity else None)
+    fund(holdings, payer, -cash, {asset: quantity} if quantity else None)
+    return None
 
 
 @dataclass
@@ -358,12 +361,12 @@ class SettlementInstruction:
     reason: str | None = None
 
     def __post_init__(self):
-        if self.quantity <= 0:
-            raise NonPositiveQuantity("instruction quantity must be positive")
+        if not is_money(self.quantity):
+            raise NonPositiveQuantity("instruction quantity must be a positive integer")
         if self.mode not in (DVP, FOP):
             raise SettlementError(f"unknown settlement mode {self.mode!r}")
-        if self.cash < 0 or self.unpaid_cash < 0:
-            raise SettlementError("cash legs must be non-negative")
+        if not is_money_or_zero(self.cash) or not is_money_or_zero(self.unpaid_cash):
+            raise SettlementError("cash legs must be integers >= 0")
         if self.mode == FOP and self.cash != 0:
             raise SettlementError("a fop instruction carries the asset leg only")
 
@@ -387,29 +390,20 @@ def settle_dvp(holdings: Holdings, instr: SettlementInstruction) -> SettlementRe
     """
     if instr.mode != DVP:
         raise SettlementError("settle_dvp requires a dvp instruction")
-    if _asset(holdings, instr.from_member, instr.asset) < instr.quantity:
-        instr.status, instr.reason = FAILED, INSUFFICIENT_ASSET
-        return SettlementResult(instr.id, FAILED, INSUFFICIENT_ASSET)
-    if _cash(holdings, instr.to_member) < instr.cash:
-        instr.status, instr.reason = FAILED, INSUFFICIENT_CASH
-        return SettlementResult(instr.id, FAILED, INSUFFICIENT_CASH)
-    _move_asset(holdings, instr.from_member, instr.to_member, instr.asset, instr.quantity)
-    if instr.cash:
-        _move_cash(holdings, instr.to_member, instr.from_member, instr.cash)
-    instr.status, instr.reason = SETTLED, None
-    return SettlementResult(instr.id, SETTLED)
+    reason = _exchange(
+        holdings, instr.from_member, instr.to_member, instr.asset, instr.quantity, instr.cash
+    )
+    instr.status, instr.reason = FAILED if reason else SETTLED, reason
+    return SettlementResult(instr.id, instr.status, reason)
 
 
 def settle_fop(holdings: Holdings, instr: SettlementInstruction) -> SettlementResult:
     """Free-of-payment: deliver the asset leg only."""
     if instr.mode != FOP:
         raise SettlementError("settle_fop requires a fop instruction")
-    if _asset(holdings, instr.from_member, instr.asset) < instr.quantity:
-        instr.status, instr.reason = FAILED, INSUFFICIENT_ASSET
-        return SettlementResult(instr.id, FAILED, INSUFFICIENT_ASSET)
-    _move_asset(holdings, instr.from_member, instr.to_member, instr.asset, instr.quantity)
-    instr.status, instr.reason = SETTLED, None
-    return SettlementResult(instr.id, SETTLED)
+    reason = _exchange(holdings, instr.from_member, instr.to_member, instr.asset, instr.quantity, 0)
+    instr.status, instr.reason = FAILED if reason else SETTLED, reason
+    return SettlementResult(instr.id, instr.status, reason)
 
 
 def pay_fop(holdings: Holdings, instr: SettlementInstruction) -> SettlementResult:
@@ -418,11 +412,11 @@ def pay_fop(holdings: Holdings, instr: SettlementInstruction) -> SettlementResul
         raise SettlementError("pay_fop requires a fop instruction")
     if instr.cash_paid or instr.unpaid_cash == 0:
         return SettlementResult(instr.id, SETTLED)
-    if _cash(holdings, instr.to_member) < instr.unpaid_cash:
-        return SettlementResult(instr.id, FAILED, INSUFFICIENT_CASH)
-    _move_cash(holdings, instr.to_member, instr.from_member, instr.unpaid_cash)
-    instr.cash_paid = True
-    return SettlementResult(instr.id, SETTLED)
+    reason = _exchange(
+        holdings, instr.from_member, instr.to_member, instr.asset, 0, instr.unpaid_cash
+    )
+    instr.cash_paid = reason is None
+    return SettlementResult(instr.id, FAILED if reason else SETTLED, reason)
 
 
 @dataclass
@@ -438,12 +432,10 @@ class CashTransfer:
     status: str = PENDING
 
     def apply(self, holdings: Holdings) -> bool:
-        if _cash(holdings, self.from_member) < self.amount:
-            self.status = FAILED
-            return False
-        _move_cash(holdings, self.from_member, self.to_member, self.amount)
-        self.status = SETTLED
-        return True
+        # a cash-only exchange: the payee delivers nothing
+        settled = _exchange(holdings, self.to_member, self.from_member, "", 0, self.amount) is None
+        self.status = SETTLED if settled else FAILED
+        return settled
 
 
 # ---------------------------------------------------------------------------
@@ -489,19 +481,7 @@ class CycleReport:
     final_holdings: dict[str, Any] = field(default_factory=dict)
 
     def to_obj(self) -> dict[str, Any]:
-        return {
-            "mode": self.mode,
-            "lag_days": self.lag_days,
-            "days": self.days,
-            "exposure_series": self.exposure_series,
-            "exposure_total": self.exposure_total,
-            "gross_obligations": self.gross_obligations,
-            "net_obligations": self.net_obligations,
-            "chains": self.chains,
-            "instruction_counts": self.instruction_counts,
-            "unpaid_deliveries": self.unpaid_deliveries,
-            "final_holdings": self.final_holdings,
-        }
+        return asdict(self)
 
 
 def run_cycle(trades: Sequence[Trade], config: CycleConfig) -> CycleReport:
@@ -542,11 +522,9 @@ def run_cycle(trades: Sequence[Trade], config: CycleConfig) -> CycleReport:
 def _opening_holdings(trades: Sequence[Trade], config: CycleConfig) -> Holdings:
     """The caller's pinned holdings, else gross obligations pre-funded so
     settlement succeeds; hubs are funded for both sides."""
-    holdings: Holdings = new_holdings()
     if config.initial_holdings is not None:
-        for member, entry in config.initial_holdings.items():
-            fund(holdings, member, int(entry.get("cash", 0)), entry.get("assets", {}))
-        return holdings
+        return holdings_from(config.initial_holdings)
+    holdings = new_holdings()
     for t in trades:
         fund(holdings, t.seller, assets={t.asset: t.quantity})
         fund(holdings, t.buyer, cash=t.notional)

@@ -510,6 +510,25 @@ class TestExportImport:
         with pytest.raises(BadImport):
             Chain.import_jsonl(str(path), quorum_config())
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("height", 0.0),
+            ("height", -1),
+            ("height", True),
+            ("wall_time", "0"),
+            ("tx_count", 2**32),
+            ("nonce", None),
+        ],
+    )
+    def test_bad_header_field_names_its_line(self, field, value):
+        # before: struct.error, a bare TypeError or a ChainError without a line
+        obj = json.loads(Chain(quorum_config()).to_jsonl().splitlines()[0])
+        obj[field] = value
+        with pytest.raises(BadImport) as err:
+            Chain.from_jsonl(json.dumps(obj), quorum_config())
+        assert err.value.line == 1
+
     def test_hashes_rendered_lowercase_hex(self):
         c = Chain(quorum_config())
         grow(c, 1)

@@ -49,6 +49,17 @@ class TestChainCommands:
         path.write_text(json.dumps(line) + "\n")
         assert cli.main(["chain", "verify", str(path)]) == 1
 
+    def test_verify_names_the_line_of_a_bad_header_field(self, tmp_path, capsys):
+        path = tmp_path / "chain.jsonl"
+        cli.main(["chain", "init", "--out", str(path)])
+        line = json.loads(path.read_text().splitlines()[0])
+        line["height"] = 0.0
+        path.write_text(json.dumps(line) + "\n")
+        capsys.readouterr()
+        # before: a struct.error traceback
+        assert cli.main(["chain", "verify", str(path)]) == 1
+        assert capsys.readouterr().out.startswith("import failed: line 1:")
+
     def test_verify_rejects_garbage_file(self, tmp_path):
         path = tmp_path / "garbage.jsonl"
         path.write_text("this is not a chain\n")

@@ -383,6 +383,41 @@ class TestStatelessRoutines:
             state.invoke(addr, "net", {"trades": [{"buyer": "a"}]}, budget())
         assert e.value.reason == "invalid_trades"
 
+    @pytest.mark.parametrize("field,value", [("quantity", 1.5), ("quantity", "3"), ("price", True)])
+    def test_net_refuses_values_that_are_not_money(self, field, value):
+        # before: netted as 1, 3 and a price of 1
+        row = {"buyer": "a", "seller": "b", "asset": "X", "quantity": 2, "price": 5, field: value}
+        state = ct.ContractState()
+        addr = state.deploy("net", {}, budget(), 1)
+        with pytest.raises(ct.ContractError) as e:
+            state.invoke(addr, "net", {"trades": [row]}, budget())
+        assert e.value.reason == "invalid_trades"
+
+    @pytest.mark.parametrize("field,value", [("quantity", 1.5), ("quantity", "2"), ("cash", 7.9)])
+    def test_settle_refuses_instruction_money_that_is_not_an_int(self, field, value):
+        # before: settled 1.5 as 1 unit, "2" as 2 and a cash leg of 7.9 as 7
+        holdings = {"alice": {"cash": 0, "assets": {"BOND": 3}}, "bob": {"cash": 50, "assets": {}}}
+        row = {"id": "I1", "from": "alice", "to": "bob", "asset": "BOND", "quantity": 1, "cash": 5}
+        row[field] = value
+        state = ct.ContractState()
+        addr = state.deploy("settle", {}, budget(), 1)
+        with pytest.raises(ct.ContractError) as e:
+            state.invoke(addr, "settle", {"holdings": holdings, "instruction": row}, budget())
+        assert e.value.reason == "invalid_instruction"
+
+    @pytest.mark.parametrize("entry", [{"cash": 10.5}, {"cash": 1, "assets": {"BOND": 0.5}}, {"cash": False}])
+    def test_settle_refuses_holdings_that_are_not_integral(self, entry):
+        # before: a cash holding of 10.5 came back as 7.5 after paying 3
+        holdings = {"alice": {"cash": 0, "assets": {"BOND": 3}}, "bob": entry}
+        row = {"id": "I1", "from": "alice", "to": "bob", "asset": "BOND", "quantity": 1, "cash": 3}
+        state = ct.ContractState()
+        addr = state.deploy("settle", {}, budget(), 1)
+        b = budget()
+        with pytest.raises(ct.ContractError) as e:
+            state.invoke(addr, "settle", {"holdings": holdings, "instruction": row}, b)
+        assert e.value.reason == "invalid_args"
+        assert b.used == ct.FIXED_INVOKE_STEPS + len(holdings)
+
     def test_settle_leaves_input_holdings_untouched(self):
         holdings = {
             "alice": {"cash": 500, "assets": {"BOND": 3}},

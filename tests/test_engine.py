@@ -126,6 +126,8 @@ class TestFields:
             {"op": "tsa_init", "operator_seed": "zz"},
             {"op": "tsa_init", "operator_seed": 5},
             {"op": "tsa_init", "operator_seed": ["00"]},
+            {"op": "keygen", "name": "b", "seed": "01"},
+            {"op": "tsa_init", "operator_seed": "01"},
         ],
     )
     def test_seed_that_is_not_hex_text_names_its_line(self, doc):
@@ -139,6 +141,24 @@ class TestFields:
     def test_ecl_field_that_is_not_a_number_names_its_line(self, field, value):
         # before: TypeError from a comparison, without a line
         doc = {"op": "ecl", "exposure": 1000, "pd_12m": 0.1, "pd_lifetime": 0.2, "lgd": 0.5, "stage": 1}
+        doc[field] = value
+        with pytest.raises(engine.ParseError, match=f"line 2: .*{field}") as e:
+            engine.run_scenario(lines(self.KEYGEN, doc))
+        assert e.value.line == 2
+
+    @pytest.mark.parametrize("stage", ["x", 4, 1.0, True, None])
+    def test_ecl_stage_other_than_1_2_3_names_its_line(self, stage):
+        # before: "x" raised the undeclared base BankLedgerError; 1.0 and True passed as stage 1
+        doc = {"op": "ecl", "exposure": 1000, "pd_12m": 0.1, "pd_lifetime": 0.2, "lgd": 0.5, "stage": stage}
+        with pytest.raises(engine.ParseError, match="line 2: .*stage") as e:
+            engine.run_scenario(lines(self.KEYGEN, doc))
+        assert e.value.line == 2
+
+    @pytest.mark.parametrize("field", ["cost", "salvage", "life_periods", "periods_elapsed"])
+    @pytest.mark.parametrize("value", ["x", 1.5, None, True])
+    def test_depreciate_field_that_is_not_an_int_names_its_line(self, field, value):
+        # before: "x" raised a bare TypeError from a comparison
+        doc = {"op": "depreciate", "cost": 100, "salvage": 0, "life_periods": 4, "periods_elapsed": 0}
         doc[field] = value
         with pytest.raises(engine.ParseError, match=f"line 2: .*{field}") as e:
             engine.run_scenario(lines(self.KEYGEN, doc))

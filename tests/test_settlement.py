@@ -67,9 +67,9 @@ class TestOrdersAndTrades:
 class TestMatching:
     def test_crossing_executes_at_resting_price(self):
         book = st.OrderBook()
-        st.match_orders(book, st.Order("O1", "bob", st.SELL, "BOND", 5, 98, 0))
-        st.match_orders(book, st.Order("O2", "carol", st.SELL, "BOND", 5, 99, 0))
-        trades = st.match_orders(book, st.Order("O3", "alice", st.BUY, "BOND", 7, 99, 0))
+        book.match(st.Order("O1", "bob", st.SELL, "BOND", 5, 98, 0))
+        book.match(st.Order("O2", "carol", st.SELL, "BOND", 5, 99, 0))
+        trades = book.match(st.Order("O3", "alice", st.BUY, "BOND", 7, 99, 0))
         assert [(t.seller, t.quantity, t.price) for t in trades] == [
             ("bob", 5, 98),
             ("carol", 2, 99),
@@ -79,38 +79,38 @@ class TestMatching:
 
     def test_time_priority_on_equal_price(self):
         book = st.OrderBook()
-        st.match_orders(book, st.Order("O1", "first", st.SELL, "BOND", 1, 100, 0))
-        st.match_orders(book, st.Order("O2", "second", st.SELL, "BOND", 1, 100, 0))
-        trades = st.match_orders(book, st.Order("O3", "buyer", st.BUY, "BOND", 1, 100, 0))
+        book.match(st.Order("O1", "first", st.SELL, "BOND", 1, 100, 0))
+        book.match(st.Order("O2", "second", st.SELL, "BOND", 1, 100, 0))
+        trades = book.match(st.Order("O3", "buyer", st.BUY, "BOND", 1, 100, 0))
         assert [t.seller for t in trades] == ["first"]
 
     def test_no_cross_rests(self):
         book = st.OrderBook()
-        st.match_orders(book, st.Order("O1", "a", st.SELL, "BOND", 5, 101, 0))
-        trades = st.match_orders(book, st.Order("O2", "b", st.BUY, "BOND", 5, 100, 0))
+        book.match(st.Order("O1", "a", st.SELL, "BOND", 5, 101, 0))
+        trades = book.match(st.Order("O2", "b", st.BUY, "BOND", 5, 100, 0))
         assert trades == []
         assert book.depth("BOND") == (5, 5)
 
     def test_sell_side_matches_best_bid_first(self):
         book = st.OrderBook()
-        st.match_orders(book, st.Order("O1", "low", st.BUY, "BOND", 1, 99, 0))
-        st.match_orders(book, st.Order("O2", "high", st.BUY, "BOND", 1, 101, 0))
-        trades = st.match_orders(book, st.Order("O3", "seller", st.SELL, "BOND", 2, 99, 0))
+        book.match(st.Order("O1", "low", st.BUY, "BOND", 1, 99, 0))
+        book.match(st.Order("O2", "high", st.BUY, "BOND", 1, 101, 0))
+        trades = book.match(st.Order("O3", "seller", st.SELL, "BOND", 2, 99, 0))
         assert [(t.buyer, t.price) for t in trades] == [("high", 101), ("low", 99)]
 
     def test_own_orders_never_cross(self):
         book = st.OrderBook()
-        st.match_orders(book, st.Order("O1", "alice", st.SELL, "BOND", 1, 100, 0))
-        st.match_orders(book, st.Order("O2", "bob", st.SELL, "BOND", 1, 100, 0))
-        trades = st.match_orders(book, st.Order("O3", "alice", st.BUY, "BOND", 1, 100, 0))
+        book.match(st.Order("O1", "alice", st.SELL, "BOND", 1, 100, 0))
+        book.match(st.Order("O2", "bob", st.SELL, "BOND", 1, 100, 0))
+        trades = book.match(st.Order("O3", "alice", st.BUY, "BOND", 1, 100, 0))
         assert [(t.buyer, t.seller) for t in trades] == [("alice", "bob")]
 
     def test_two_own_resting_orders_are_skipped(self):
         book = st.OrderBook()
-        st.match_orders(book, st.Order("O1", "alice", st.SELL, "BOND", 2, 99, 0))
-        st.match_orders(book, st.Order("O2", "alice", st.SELL, "BOND", 3, 100, 0))
-        st.match_orders(book, st.Order("O3", "bob", st.SELL, "BOND", 4, 101, 0))
-        trades = st.match_orders(book, st.Order("O4", "alice", st.BUY, "BOND", 4, 101, 0))
+        book.match(st.Order("O1", "alice", st.SELL, "BOND", 2, 99, 0))
+        book.match(st.Order("O2", "alice", st.SELL, "BOND", 3, 100, 0))
+        book.match(st.Order("O3", "bob", st.SELL, "BOND", 4, 101, 0))
+        trades = book.match(st.Order("O4", "alice", st.BUY, "BOND", 4, 101, 0))
         assert [(t.buyer, t.seller, t.quantity, t.price) for t in trades] == [
             ("alice", "bob", 4, 101)
         ]
@@ -145,15 +145,15 @@ class TestMatching:
 
     def test_assets_isolated(self):
         book = st.OrderBook()
-        st.match_orders(book, st.Order("O1", "a", st.SELL, "BOND", 1, 100, 0))
-        trades = st.match_orders(book, st.Order("O2", "b", st.BUY, "BILL", 1, 100, 0))
+        book.match(st.Order("O1", "a", st.SELL, "BOND", 1, 100, 0))
+        trades = book.match(st.Order("O2", "b", st.BUY, "BILL", 1, 100, 0))
         assert trades == []
         assert book.depth("BILL") == (1, 0)
 
     def test_buyer_seller_set_by_incoming_side(self):
         book = st.OrderBook()
-        st.match_orders(book, st.Order("O1", "resting", st.BUY, "BOND", 1, 100, 0))
-        [t] = st.match_orders(book, st.Order("O2", "incoming", st.SELL, "BOND", 1, 100, 0))
+        book.match(st.Order("O1", "resting", st.BUY, "BOND", 1, 100, 0))
+        [t] = book.match(st.Order("O2", "incoming", st.SELL, "BOND", 1, 100, 0))
         assert (t.buyer, t.seller) == ("resting", "incoming")
 
 
@@ -254,6 +254,13 @@ class TestNetting:
             net = st.net_obligation_sum(st.net_positions(trades))
             assert gross >= net
 
+    @pytest.mark.parametrize("field,value", [("quantity", 1.5), ("quantity", "3"), ("price", True)])
+    def test_refuses_values_that_are_not_money(self, field, value):
+        # before: 1.5 netted as 1 unit, "3" as 3 and a price of True as 1
+        row = {"buyer": "a", "seller": "b", "asset": "X", "quantity": 2, "price": 5, field: value}
+        with pytest.raises(st.NonPositiveQuantity):
+            st.net_over_dicts([row])
+
     def test_offsetting_trades_net_to_nothing(self):
         trades = [trade("T1", "a", "b", qty=5, price=10), trade("T2", "b", "a", qty=5, price=10)]
         assert st.net_positions(trades) == []
@@ -289,6 +296,23 @@ class TestInstructionsAndSettlement:
             self.instr(mode=st.FOP, cash=5)
         with pytest.raises(st.SettlementError):
             self.instr(cash=-1)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"qty": True},
+            {"qty": 1.5},
+            {"cash": 0.5},
+            {"cash": True},
+            {"cash": 0.0},
+            {"cash": False},
+            {"cash": 0, "mode": st.FOP, "unpaid_cash": 2.5},
+        ],
+    )
+    def test_money_rule_on_instructions(self, kwargs):
+        # before: each was accepted, so settle_dvp could move 1.5 units or 0.5 cash
+        with pytest.raises(st.SettlementError):
+            self.instr(**kwargs)
 
     def test_dvp_moves_both_legs(self):
         h = self.holdings()
@@ -334,6 +358,16 @@ class TestInstructionsAndSettlement:
         st.settle_fop(h, instr)
         result = st.pay_fop(h, instr)
         assert result.status == st.FAILED and not instr.cash_paid
+
+    def test_cash_transfer_moves_cash_only_or_nothing(self):
+        h = self.holdings()
+        before = canonical_json(h)
+        short = st.CashTransfer("C1", "buyer", "seller", 1001, 0)
+        assert not short.apply(h) and short.status == st.FAILED
+        assert canonical_json(h) == before
+        assert st.CashTransfer("C2", "buyer", "newcomer", 1000, 0).apply(h)
+        assert h["buyer"] == {"cash": 0, "assets": {}}
+        assert h["newcomer"] == {"cash": 1000, "assets": {}}
 
     def test_mode_mismatch_raises(self):
         h = self.holdings()
@@ -432,6 +466,29 @@ class TestRunCycle:
         assert report.exposure_series[-1] == 50  # still outstanding at horizon
         day_rows = {row["day"]: row for row in report.days}
         assert day_rows[1]["failed"] == 1
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"cash": 1.9, "assets": {}},
+            {"cash": 0, "assets": {"BOND": 0.5}},
+            {"cash": True},
+            {"cash": -1},
+        ],
+    )
+    def test_initial_holdings_must_be_integral(self, entry):
+        # before: cash 1.9 was truncated to 1 and a BOND quantity of 0.5 was kept
+        holdings = {"buyer": {"cash": 50, "assets": {}}, "seller": entry}
+        config = st.CycleConfig(lag_days=1, initial_holdings=holdings)
+        with pytest.raises(st.SettlementError):
+            st.run_cycle([trade("T1", "buyer", "seller", qty=5, price=10)], config)
+
+    def test_holdings_from_fills_missing_legs_and_copies(self):
+        entries = {"a": {}, "b": {"cash": 3, "assets": {"BOND": 0}}}
+        holdings = st.holdings_from(entries)
+        assert holdings == {"a": {"cash": 0, "assets": {}}, "b": {"cash": 3, "assets": {"BOND": 0}}}
+        holdings["b"]["assets"]["BOND"] = 9
+        assert entries["b"]["assets"] == {"BOND": 0}
 
     def test_deterministic_report_bytes(self):
         def run():
