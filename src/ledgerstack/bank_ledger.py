@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from decimal import ROUND_HALF_UP, Decimal
+from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .crypto import is_money
@@ -373,8 +373,9 @@ def classify_ifrs9(sppi_pass: bool, business_model: str) -> str:
     return FVTPL
 
 
-def _round_half_up(value: Decimal) -> int:
-    return int(value.quantize(Decimal("1"), rounding=ROUND_HALF_UP))
+def _round_half_up(value: Fraction) -> int:
+    # exact at any size, where a Decimal quantize overflows its 28 digits
+    return (value + Fraction(1, 2)) // 1
 
 
 def ecl_provision(
@@ -398,7 +399,7 @@ def ecl_provision(
     if stage not in (1, 2, 3):
         raise BankLedgerError(f"stage must be 1, 2, or 3, got {stage!r}")
     pd = pd_12m if stage == 1 else pd_lifetime
-    provision = _round_half_up(Decimal(exposure) * Decimal(str(pd)) * Decimal(str(lgd)))
+    provision = _round_half_up(Fraction(exposure) * Fraction(str(pd)) * Fraction(str(lgd)))
     if provision == 0:
         return 0, None
     entry = simple_entry(
@@ -439,7 +440,7 @@ def depreciate(asset: FixedAsset) -> tuple[int, JournalEntry | None]:
             f"period {asset.periods_elapsed + 1} of a {asset.life_periods}-period life"
         )
     base = asset.cost - asset.salvage
-    regular = _round_half_up(Decimal(base) / Decimal(asset.life_periods))
+    regular = _round_half_up(Fraction(base, asset.life_periods))
     if asset.periods_elapsed == asset.life_periods - 1:
         amount = base - regular * (asset.life_periods - 1)
     else:

@@ -40,21 +40,14 @@ def _chain_config(seed_hex: str | None) -> chain_mod.ChainConfig:
     )
 
 
-def _report_dir(flag_value: str | None) -> Path | None:
+def _write_report(flag_value: str | None, stem: str, payload: bytes) -> None:
+    """Write the report into --report DIR, else $LEDGERSTACK_REPORT_DIR, else nowhere."""
     raw = flag_value or os.environ.get(REPORT_DIR_ENV)
-    if not raw:
-        return None
-    path = Path(raw)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _write_report(directory: Path | None, stem: str, payload: bytes) -> Path | None:
-    if directory is None:
-        return None
-    out = directory / f"{stem}.report.json"
-    out.write_bytes(payload)
-    return out
+    if raw:
+        Path(raw).mkdir(parents=True, exist_ok=True)
+        out = Path(raw) / f"{stem}.report.json"
+        out.write_bytes(payload)
+        print(f"report written to {out}")
 
 
 # ---------------------------------------------------------------------------
@@ -69,16 +62,18 @@ def _cmd_chain_init(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_chain(path: str, seed_hex: str | None) -> chain_mod.Chain:
-    config = _chain_config(seed_hex)
-    return chain_mod.Chain.import_jsonl(path, config)
+def _load_chain(path: str, seed_hex: str | None) -> chain_mod.Chain | None:
+    """The chain in the file, or None once the refusal is printed."""
+    try:
+        return chain_mod.Chain.import_jsonl(path, _chain_config(seed_hex))
+    except (chain_mod.BadImport, chain_mod.EmptyChain) as exc:
+        print(f"import failed: {exc}")
+        return None
 
 
 def _cmd_chain_verify(args: argparse.Namespace) -> int:
-    try:
-        chain = _load_chain(args.file, args.seed)
-    except (chain_mod.BadImport, chain_mod.EmptyChain) as exc:
-        print(f"import failed: {exc}")
+    chain = _load_chain(args.file, args.seed)
+    if chain is None:
         return 1
     result = chain.verify()
     if result.valid:
@@ -89,10 +84,8 @@ def _cmd_chain_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_chain_export(args: argparse.Namespace) -> int:
-    try:
-        chain = _load_chain(args.infile, args.seed)
-    except (chain_mod.BadImport, chain_mod.EmptyChain) as exc:
-        print(f"import failed: {exc}")
+    chain = _load_chain(args.infile, args.seed)
+    if chain is None:
         return 1
     chain.export_jsonl(args.out)
     print(f"exported {len(chain.blocks)} block(s) to {args.out}")
@@ -100,10 +93,8 @@ def _cmd_chain_export(args: argparse.Namespace) -> int:
 
 
 def _cmd_chain_import(args: argparse.Namespace) -> int:
-    try:
-        chain = _load_chain(args.file, args.seed)
-    except (chain_mod.BadImport, chain_mod.EmptyChain) as exc:
-        print(f"import failed: {exc}")
+    chain = _load_chain(args.file, args.seed)
+    if chain is None:
         return 1
     result = chain.verify()
     status = "valid" if result.valid else f"INVALID ({result.reason})"
@@ -118,31 +109,33 @@ def _cmd_chain_import(args: argparse.Namespace) -> int:
 # scenarios
 
 
-def _run_scenario_file(path: str, report_flag: str | None, quiet: bool = False) -> tuple[dict, int]:
-    text = Path(path).read_text(encoding="utf-8")
-    name = Path(path).stem
+def _run_scenario(text: str, name: str, report_flag: str | None) -> dict | None:
+    """Run a scenario and write its report; None once the failure is printed."""
     try:
         report = engine.run_scenario(text, name=name)
-    except (engine.ParseError, engine.AssertionFailed) as exc:
+    except engine.EngineError as exc:
         print(f"scenario failed: {exc}")
-        return {}, 1
-    written = _write_report(_report_dir(report_flag), name, engine.report_bytes(report))
-    if not quiet:
-        print(f"{name}: {report['summary']['op_count']} op(s) ok")
-    if written is not None:
-        print(f"report written to {written}")
-    return report, 0
+        return None
+    _write_report(report_flag, name, engine.report_bytes(report))
+    return report
+
+
+def _run_scenario_file(path: str, report_flag: str | None) -> dict | None:
+    return _run_scenario(Path(path).read_text(encoding="utf-8"), Path(path).stem, report_flag)
 
 
 def _cmd_scenario_run(args: argparse.Namespace) -> int:
-    _, code = _run_scenario_file(args.file, args.report)
-    return code
+    report = _run_scenario_file(args.file, args.report)
+    if report is None:
+        return 1
+    print(f"{report['scenario']}: {report['summary']['op_count']} op(s) ok")
+    return 0
 
 
 def _cmd_tsa_day_cycle(args: argparse.Namespace) -> int:
-    report, code = _run_scenario_file(args.file, args.report, quiet=True)
-    if code != 0:
-        return code
+    report = _run_scenario_file(args.file, args.report)
+    if report is None:
+        return 1
     for op in report["ops"]:
         if op["op"] == "sweep":
             moved = sum(t["amount"] for t in op["result"]["transfers"])
@@ -199,10 +192,7 @@ def _cmd_settle_run(args: argparse.Namespace) -> int:
     )
     for row in report.unpaid_deliveries:
         print(f"unpaid: {row['payer']} owes {row['payee']} {row['amount']} ({row['id']})")
-    payload = engine.report_bytes(report.to_obj())
-    written = _write_report(_report_dir(args.report), Path(args.file).stem, payload)
-    if written is not None:
-        print(f"report written to {written}")
+    _write_report(args.report, Path(args.file).stem, engine.report_bytes(report.to_obj()))
     return 0
 
 
@@ -212,10 +202,8 @@ def _cmd_escrow_demo(args: argparse.Namespace) -> int:
         .joinpath("scenarios/escrow_paths.jsonl")
         .read_text(encoding="utf-8")
     )
-    try:
-        report = engine.run_scenario(text, name="escrow_paths")
-    except (engine.ParseError, engine.AssertionFailed) as exc:  # pragma: no cover
-        print(f"demo failed: {exc}")
+    report = _run_scenario(text, "escrow_paths", args.report)
+    if report is None:
         return 1
     for op in report["ops"]:
         result = op["result"]
@@ -226,11 +214,6 @@ def _cmd_escrow_demo(args: argparse.Namespace) -> int:
                 f"{who} gets {amt}" for who, amt in result["payouts"].items()
             )
             print(f"resolved {result['status']}: {payouts}")
-    written = _write_report(
-        _report_dir(args.report), "escrow_paths", engine.report_bytes(report)
-    )
-    if written is not None:
-        print(f"report written to {written}")
     return 0
 
 

@@ -172,6 +172,11 @@ class _Instance:
     dead: bool = False
 
 
+def _no_init(ctx: InvokeContext) -> None:
+    if ctx.args:
+        raise InvalidParams("this contract takes no init parameters")
+
+
 # ---------------------------------------------------------------------------
 # counter
 
@@ -305,11 +310,6 @@ def plan_sweep(
     return transfers
 
 
-def _sweep_init(ctx: InvokeContext) -> None:
-    if ctx.args:
-        raise InvalidParams("zba_sweep takes no init parameters")
-
-
 def _sweep_run(ctx: InvokeContext) -> Any:
     balances = ctx.args.get("balances")
     kinds = ctx.args.get("kinds")
@@ -322,11 +322,6 @@ def _sweep_run(ctx: InvokeContext) -> Any:
 
 # ---------------------------------------------------------------------------
 # ifrs9_classify
-
-
-def _classify_init(ctx: InvokeContext) -> None:
-    if ctx.args:
-        raise InvalidParams("ifrs9_classify takes no init parameters")
 
 
 def _classify_run(ctx: InvokeContext) -> Any:
@@ -342,11 +337,6 @@ def _classify_run(ctx: InvokeContext) -> Any:
 # net / settle
 
 
-def _net_init(ctx: InvokeContext) -> None:
-    if ctx.args:
-        raise InvalidParams("net takes no init parameters")
-
-
 def _net_run(ctx: InvokeContext) -> Any:
     trades = ctx.args.get("trades")
     if not isinstance(trades, list):
@@ -356,11 +346,6 @@ def _net_run(ctx: InvokeContext) -> Any:
         return {"positions": net_over_dicts(trades)}
     except (SettlementError, KeyError, TypeError):
         raise ContractError("invalid_trades") from None
-
-
-def _settle_init(ctx: InvokeContext) -> None:
-    if ctx.args:
-        raise InvalidParams("settle takes no init parameters")
 
 
 def _settle_run(ctx: InvokeContext) -> Any:
@@ -473,28 +458,28 @@ CATALOG: dict[str, ContractCode] = {
             code_id="zba_sweep",
             description="plans end-of-day concentration transfers into the main account",
             cost_note="deploy 10; sweep 10 + 1 per account",
-            init=_sweep_init,
+            init=_no_init,
             methods={"sweep": _sweep_run},
         ),
         ContractCode(
             code_id="ifrs9_classify",
             description="classifies a financial asset into a measurement category",
             cost_note="deploy 10; classify 11",
-            init=_classify_init,
+            init=_no_init,
             methods={"classify": _classify_run},
         ),
         ContractCode(
             code_id="net",
             description="multilateral netting of trade lists into member positions",
             cost_note="deploy 10; net 10 + 1 per trade",
-            init=_net_init,
+            init=_no_init,
             methods={"net": _net_run},
         ),
         ContractCode(
             code_id="settle",
             description="settles one instruction against a holdings snapshot",
             cost_note="deploy 10; settle 10 + 1 per member",
-            init=_settle_init,
+            init=_no_init,
             methods={"settle": _settle_run},
         ),
         ContractCode(
@@ -533,23 +518,20 @@ class ContractState:
     def __init__(self):
         self._instances: dict[bytes, _Instance] = {}
 
-    def instance_code(self, address: bytes) -> str:
+    def _instance(self, address: bytes) -> _Instance:
         inst = self._instances.get(address)
         if inst is None:
             raise UnknownAddress(address.hex())
-        return inst.code_id
+        return inst
+
+    def instance_code(self, address: bytes) -> str:
+        return self._instance(address).code_id
 
     def is_dead(self, address: bytes) -> bool:
-        inst = self._instances.get(address)
-        if inst is None:
-            raise UnknownAddress(address.hex())
-        return inst.dead
+        return self._instance(address).dead
 
     def storage_snapshot(self, address: bytes) -> dict[str, bytes]:
-        inst = self._instances.get(address)
-        if inst is None:
-            raise UnknownAddress(address.hex())
-        return dict(inst.storage)
+        return dict(self._instance(address).storage)
 
     def deploy(
         self, code_id: str, init_params: Any, budget: StepBudget, height: int
@@ -558,7 +540,10 @@ class ContractState:
         if code is None:
             raise UnknownCode(f"no contract code {code_id!r}")
         budget.consume(FIXED_DEPLOY_STEPS)
-        address = derive_address(code_id, init_params, height)
+        try:
+            address = derive_address(code_id, init_params, height)
+        except (ValueError, struct.error) as exc:  # NaN, a lone surrogate, a height outside 64 bits
+            raise InvalidParams(f"no address for these init parameters and height: {exc}") from None
         if address in self._instances:
             raise ContractError("already_deployed")
         storage: dict[str, bytes] = {}
@@ -576,9 +561,7 @@ class ContractState:
     def invoke(
         self, address: bytes, method: str, args: Mapping[str, Any], budget: StepBudget
     ) -> Any:
-        inst = self._instances.get(address)
-        if inst is None:
-            raise UnknownAddress(address.hex())
+        inst = self._instance(address)
         if inst.dead:
             raise Dead(f"contract at {address.hex()} was destroyed")
         code = CATALOG[inst.code_id]

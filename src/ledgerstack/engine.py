@@ -18,6 +18,8 @@ scenario always produces byte-identical report files.
 from __future__ import annotations
 
 import json
+import math
+import string
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -29,13 +31,16 @@ from . import tsa as tsa_mod
 
 
 class EngineError(Exception):
-    pass
+    """A scenario run failed; `line` is the scenario line, once known."""
+
+    def __init__(self, message: str, line: int | None = None):
+        super().__init__(message if line is None else f"line {line}: {message}")
+        self.line = line
 
 
 class ParseError(EngineError):
     def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
+        super().__init__(message, line)
 
 
 class _OpLine(dict):
@@ -52,10 +57,10 @@ class _OpLine(dict):
 class AssertionFailed(EngineError):
     def __init__(self, line: int, expected: Any, actual: Any):
         super().__init__(
-            f"line {line}: expected {json.dumps(expected, sort_keys=True)}, "
-            f"got {json.dumps(actual, sort_keys=True, default=str)}"
+            f"expected {json.dumps(expected, sort_keys=True)}, "
+            f"got {json.dumps(actual, sort_keys=True, default=str)}",
+            line,
         )
-        self.line = line
         self.expected = expected
         self.actual = actual
 
@@ -88,18 +93,6 @@ class ScenarioState:
         return self.keys[name]
 
 
-def _seed_bytes(doc: _OpLine, key: str, fallback: bytes | None = None) -> bytes:
-    if key not in doc and fallback is not None:
-        return fallback
-    try:
-        seed = bytes.fromhex(doc[key])
-    except (TypeError, ValueError):
-        seed = b""
-    if len(seed) != crypto.SEED_LEN:
-        raise ParseError(doc.line, f"{key} must be {crypto.SEED_LEN} bytes of hex text, got {doc[key]!r}")
-    return seed
-
-
 # ---------------------------------------------------------------------------
 # treasury ops
 
@@ -108,8 +101,8 @@ def _op_tsa_init(state: ScenarioState, doc: dict) -> dict:
     agency = doc.get("agency", DEFAULT_AGENCY)
     if agency in state.ledgers:
         raise EngineError(f"agency {agency!r} already initialized")
-    seed = _seed_bytes(doc, "operator_seed", tsa_mod.DEFAULT_OPERATOR_SEED)
-    state.ledgers[agency] = tsa_mod.TsaLedger(operator_seed=seed)
+    seed = doc.get("operator_seed", tsa_mod.DEFAULT_OPERATOR_SEED.hex())
+    state.ledgers[agency] = tsa_mod.TsaLedger(operator_seed=bytes.fromhex(seed))
     return {"agency": agency}
 
 
@@ -213,7 +206,7 @@ def _op_keygen(state: ScenarioState, doc: dict) -> dict:
     name = doc["name"]
     if name in state.keys:
         raise EngineError(f"key {name!r} already exists")
-    state.keys[name] = crypto.keygen(_seed_bytes(doc, "seed"))
+    state.keys[name] = crypto.keygen(bytes.fromhex(doc["seed"]))
     return {"name": name, "public": state.keys[name].public.hex()}
 
 
@@ -314,27 +307,18 @@ def _op_classify(state: ScenarioState, doc: dict) -> dict:
 
 
 def _op_ecl(state: ScenarioState, doc: dict) -> dict:
-    keys = ("exposure", "pd_12m", "pd_lifetime", "lgd")
-    for key in keys:
-        if type(doc[key]) not in (int, float):
-            raise ParseError(doc.line, f"{key} must be a number, got {doc[key]!r}")
-    if type(doc["stage"]) is not int or doc["stage"] not in (1, 2, 3):
-        raise ParseError(doc.line, f"stage must be 1, 2 or 3, got {doc['stage']!r}")
-    provision, _ = bank.ecl_provision(*(doc[key] for key in keys), doc["stage"])
+    keys = ("exposure", "pd_12m", "pd_lifetime", "lgd", "stage")
+    provision, _ = bank.ecl_provision(*(doc[key] for key in keys))
     return {"provision": provision}
 
 
 def _op_depreciate(state: ScenarioState, doc: dict) -> dict:
-    fields = {
-        "cost": doc["cost"],
-        "salvage": doc.get("salvage", 0),
-        "life_periods": doc["life_periods"],
-        "periods_elapsed": doc.get("periods_elapsed", 0),
-    }
-    for key, value in fields.items():
-        if type(value) is not int:
-            raise ParseError(doc.line, f"{key} must be an integer, got {value!r}")
-    asset = bank.FixedAsset(**fields)
+    asset = bank.FixedAsset(
+        cost=doc["cost"],
+        salvage=doc.get("salvage", 0),
+        life_periods=doc["life_periods"],
+        periods_elapsed=doc.get("periods_elapsed", 0),
+    )
     amount, _ = bank.depreciate(asset)
     return {"amount": amount, "period": asset.periods_elapsed + 1}
 
@@ -394,12 +378,34 @@ HANDLERS: dict[str, Callable[[ScenarioState, dict], dict]] = {
     "invoke": _op_invoke,
 }
 
-# names of the domain errors a scenario may declare with expect_error: the
-# direct subclasses of the base error of each module the ops drive
+_HEX = frozenset(string.hexdigits)
+_TEXT = (lambda v: type(v) is str, "text")
+_INT = (lambda v: type(v) is int, "an integer")
+
+# what a field must hold, in whichever op carries it: (predicate, description)
+FIELDS: dict[str, tuple[Callable[[Any], bool], str]] = {
+    **dict.fromkeys("agency id kind memo name buyer seller arbiter as escrow signer disposition".split(), _TEXT),
+    **dict.fromkeys("book date counterparty control business_model code_id target method".split(), _TEXT),
+    **dict.fromkeys("amount fee nonce requirement cost salvage life_periods periods_elapsed".split(), _INT),
+    **dict.fromkeys(("budget", "height"), (crypto.is_money_or_zero, "an integer >= 0")),
+    **dict.fromkeys(
+        ("seed", "operator_seed"), (lambda v: type(v) is str and len(v) == 64 and set(v) <= _HEX, "64 hex characters")
+    ),
+    **dict.fromkeys(
+        ("exposure", "pd_12m", "pd_lifetime", "lgd"),
+        (lambda v: type(v) is int or type(v) is float and math.isfinite(v), "a finite number"),
+    ),
+    "stage": (lambda v: type(v) is int and v in (1, 2, 3), "1, 2 or 3"),
+    **dict.fromkeys(("init", "args", "expected"), (lambda v: type(v) is dict, "an object")),
+    "sppi_pass": (lambda v: type(v) is bool, "a bool"),
+    "cap": (lambda v: v is None or type(v) is int, "an integer or null"),
+}
+
+# a refusal raised by a module the ops drive: its base class or any direct
+# subclass, named by class, is what a scenario may declare with expect_error
+_DOMAIN_ERRORS = (tsa_mod.TsaError, escrow_mod.EscrowError, contracts_mod.ContractsError, bank.BankLedgerError)
 _EXPECTED_ERRORS: frozenset[str] = frozenset(
-    cls.__name__
-    for base in (tsa_mod.TsaError, escrow_mod.EscrowError, contracts_mod.ContractsError, bank.BankLedgerError)
-    for cls in base.__subclasses__()
+    cls.__name__ for base in _DOMAIN_ERRORS for cls in (base, *base.__subclasses__())
 )
 
 
@@ -435,23 +441,24 @@ def run_scenario(text: str, name: str = "scenario") -> dict:
         if handler is None:
             raise ParseError(line_no, f"unknown op {doc['op']!r}")
         expect_error = doc.get("expect_error")
-        if expect_error is not None and expect_error not in _EXPECTED_ERRORS:
+        if expect_error is not None and (type(expect_error) is not str or expect_error not in _EXPECTED_ERRORS):
             raise ParseError(line_no, f"unknown error class {expect_error!r}")
+        for key, value in doc.items():
+            check = FIELDS.get(key)
+            if check is not None and not check[0](value):
+                raise ParseError(line_no, f"{key} must be {check[1]}, got {value!r}")
         try:
             result = handler(state, doc)
-        except EngineError:
-            raise
-        except Exception as exc:
-            if expect_error is not None and type(exc).__name__ == expect_error:
-                result = {"error": expect_error}
-            elif type(exc).__name__ in _EXPECTED_ERRORS:
+        except EngineError as exc:  # a run-state refusal (no key, ledger or escrow by that name) gains its line
+            raise exc if exc.line is not None else EngineError(str(exc), line_no) from None
+        except _DOMAIN_ERRORS as exc:
+            if type(exc).__name__ != expect_error:
                 raise AssertionFailed(
                     line_no,
                     {"expect_error": expect_error} if expect_error else {"ok": True},
                     {"error": type(exc).__name__, "detail": str(exc)},
                 ) from exc
-            else:
-                raise
+            result = {"error": expect_error}
         else:
             if expect_error is not None:
                 raise AssertionFailed(

@@ -551,6 +551,42 @@ BUILTIN_IVPS: Mapping[str, IvpFn] = {
 }
 
 
+def _typed(entry: Mapping[str, Any], key: str, default: Any, what: str, ok: Callable[[Any], bool]) -> Any:
+    value = entry.get(key, default)
+    if not ok(value):
+        raise IntegrityError(f"{key} must be {what}, got {value!r}")
+    return value
+
+
+def _builtin(table: Mapping[str, Any], name: Any, what: str) -> Any:
+    if type(name) is not str or name not in table:
+        raise IntegrityError(f"unknown builtin {what} {name!r}")
+    return table[name]
+
+
+_LOADERS: dict[str, Callable[[PolicyState, Mapping[str, Any]], None]] = {
+    "subjects": lambda state, s: state.register_subject(
+        Subject(
+            id=s["id"],
+            public_key=bytes.fromhex(_typed(s, "public_key", "", "hex text", lambda v: type(v) is str)),
+            biba_level=_typed(s, "biba_level", 0, "an integer", lambda v: type(v) is int),
+            privileged=_typed(s, "privileged", False, "a bool", lambda v: type(v) is bool),
+        )
+    ),
+    "items": lambda state, it: state.register_item(
+        DataItem(
+            id=it["id"],
+            item_class=it.get("class", CDI),
+            biba_level=_typed(it, "biba_level", 0, "an integer", lambda v: type(v) is int),
+            value=str(_typed(it, "value", "", "text or an integer", lambda v: type(v) in (str, int))).encode("utf-8"),
+        )
+    ),
+    "tps": lambda state, tp: state.register_tp(tp["id"], _builtin(BUILTIN_TPS, tp["builtin"], "tp"), tp["certified_by"]),
+    "ivps": lambda state, ivp: state.register_ivp(ivp["item"], _builtin(BUILTIN_IVPS, ivp["builtin"], "ivp")),
+    "triples": lambda state, tr: state.add_triple(Triple.of(tr["subject"], tr["tp"], tr["cdis"])),
+}
+
+
 def load_policy(doc: Mapping[str, Any]) -> PolicyState:
     """Build a PolicyState from a policy document.
 
@@ -560,36 +596,22 @@ def load_policy(doc: Mapping[str, Any]) -> PolicyState:
          "tps":      [{"id", "builtin", "certified_by"}],
          "ivps":     [{"item", "builtin"}],
          "triples":  [{"subject", "tp", "cdis": [...]}]}
+
+    Levels are ints, `privileged` a bool and an item `value` text or an int
+    (kept as its decimal text). A refusal names its entry: "items[1]: ...".
     """
     state = PolicyState()
-    for s in doc.get("subjects", []):
-        state.register_subject(
-            Subject(
-                id=s["id"],
-                public_key=bytes.fromhex(s.get("public_key", "")),
-                biba_level=int(s.get("biba_level", 0)),
-                privileged=bool(s.get("privileged", False)),
-            )
-        )
-    for it in doc.get("items", []):
-        state.register_item(
-            DataItem(
-                id=it["id"],
-                item_class=it.get("class", CDI),
-                biba_level=int(it.get("biba_level", 0)),
-                value=str(it.get("value", "")).encode("utf-8"),
-            )
-        )
-    for tp in doc.get("tps", []):
-        name = tp["builtin"]
-        if name not in BUILTIN_TPS:
-            raise IntegrityError(f"unknown builtin tp {name!r}")
-        state.register_tp(tp["id"], BUILTIN_TPS[name], tp["certified_by"])
-    for ivp in doc.get("ivps", []):
-        name = ivp["builtin"]
-        if name not in BUILTIN_IVPS:
-            raise IntegrityError(f"unknown builtin ivp {name!r}")
-        state.register_ivp(ivp["item"], BUILTIN_IVPS[name])
-    for tr in doc.get("triples", []):
-        state.add_triple(Triple.of(tr["subject"], tr["tp"], tr["cdis"]))
+    for section, load in _LOADERS.items():
+        entries = doc.get(section, [])
+        if type(entries) is not list:
+            raise IntegrityError(f"{section}: must be a list, got {entries!r}")
+        for index, entry in enumerate(entries):
+            try:
+                if not isinstance(entry, Mapping):
+                    raise IntegrityError(f"entry must be an object, got {entry!r}")
+                load(state, entry)
+            except IntegrityError as exc:
+                raise type(exc)(f"{section}[{index}]: {exc}") from None
+            except (KeyError, TypeError, ValueError) as exc:  # a missing key, an unhashable id, bad hex
+                raise IntegrityError(f"{section}[{index}]: {exc!r}") from None
     return state

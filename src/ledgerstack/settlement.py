@@ -235,6 +235,8 @@ def _netting(rows: Iterable[tuple[str, str, str, int, int]]) -> list[NetPosition
     for buyer, seller, asset, qty, price in rows:
         if not is_money(qty) or not is_money(price):
             raise NonPositiveQuantity("trade quantity and price must be positive integers")
+        if buyer == seller:
+            raise SettlementError(f"buyer and seller must differ, got {buyer!r} on both sides")
         cash = qty * price
         bought = acc.setdefault((buyer, asset), [0, 0])
         sold = acc.setdefault((seller, asset), [0, 0])
@@ -303,9 +305,12 @@ def fund(holdings: Holdings, member: str, cash: int = 0, assets: Mapping[str, in
 def holdings_from(entries: Mapping[str, Mapping[str, Any]]) -> Holdings:
     """A fresh holdings map from member -> {"cash": int, "assets": {symbol:
     int}}, a missing leg reading as empty. Refuses any amount that is not
-    an int (nor a bool) at or above zero."""
+    an int (nor a bool) at or above zero, and an entry or `assets` that is
+    not an object."""
     holdings = new_holdings()
     for member, entry in entries.items():
+        if not isinstance(entry, Mapping) or not isinstance(entry.get("assets", {}), Mapping):
+            raise SettlementError(f"holdings of {member!r} must be an object with an assets object")
         cash, assets = entry.get("cash", 0), entry.get("assets", {})
         if not is_money_or_zero(cash) or not all(map(is_money_or_zero, assets.values())):
             raise SettlementError(f"holdings of {member!r} must be integers >= 0")
@@ -794,6 +799,8 @@ def trades_from_csv(text: str) -> list[Trade]:
                     trade_day=int(row["day"]),
                 )
             )
+        except SettlementError as exc:  # the Trade's own refusal keeps its class
+            raise type(exc)(f"trades row {n}: {exc}") from None
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise SettlementError(f"trades row {n}: {exc}") from None
     return rows

@@ -171,17 +171,14 @@ class TsaLedger:
 
     # -- recording ---------------------------------------------------------
 
-    def _emit(self, kind: str, payload: dict[str, Any]) -> Transaction:
-        tx = Transaction.create(kind, payload, self.operator)
-        self.pending_txs.append(tx)
-        return tx
-
     def _record(self, kind: str, payload: dict[str, Any]) -> int:
         # sign first: a payload with no canonical JSON form changes nothing
         try:
             tx = Transaction.create(kind, payload, self.operator)
         except (TypeError, ValueError) as exc:
             raise TsaError(f"{kind} payload has no canonical JSON form: {exc}") from None
+        if any(p.tx_id == tx.tx_id for p in self.pending_txs):  # the day's block could not hold both
+            raise TsaError(f"{kind} repeats a transaction already recorded on day {self.day}")
         next_day = apply(self.accounts, self.day, kind, payload)
         self.pending_txs.append(tx)
         return next_day

@@ -259,6 +259,11 @@ class TestClassification:
 
 
 class TestEclProvision:
+    def test_provision_is_exact_beyond_28_digits(self):
+        # before: decimal.InvalidOperation once the product passed 28 digits
+        provision, _ = bank.ecl_provision(10**40 + 3, 0.5, 0.5, 0.5, stage=1)
+        assert provision == (10**40 + 3) // 4 + 1
+
     def test_stage_one_uses_twelve_month_pd(self):
         # 1_000_000 * 0.02 * 0.45 = 9000
         provision, entry = bank.ecl_provision(1_000_000, 0.02, 0.35, 0.45, stage=1)
@@ -316,6 +321,11 @@ class TestEclProvision:
 
 
 class TestDepreciation:
+    def test_charge_is_exact_beyond_28_digits(self):
+        # before: decimal.InvalidOperation from the quantize
+        amount, _ = bank.depreciate(bank.FixedAsset(10**40, 0, 3, 0))
+        assert amount == (10**40 + 1) // 3
+
     def run_schedule(self, cost, salvage, life):
         amounts = []
         for elapsed in range(life):

@@ -155,6 +155,23 @@ class TestScenarioCommands:
         assert cli.main(["scenario", "run", str(path)]) == 1
         assert "unknown op" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "command,text,message",
+        [
+            ("scenario", '{"op": "tsa_init"}\n{"op": "fund", "name": "ghost", "amount": 5}\n', "line 2: no key named 'ghost'"),
+            ("scenario", '{"op": "keygen", "name": ["a"], "seed": "%s"}\n' % ("01" * 32), "line 1: name must be text"),
+            ("tsa", '{"op": "tsa_init"}\n{"op": "sweep", "agency": "north"}\n', "line 2: no treasury ledger"),
+            ("tsa", '{"op": "tsa_init"}\n{"op": "open", "id": "m", "kind": "nope"}\n', "line 2: expected"),
+        ],
+    )
+    def test_any_scenario_failure_exits_1_naming_its_line(self, tmp_path, capsys, command, text, message):
+        # before: a traceback for a run-state error or a field of the wrong type
+        path = tmp_path / "bad.jsonl"
+        path.write_text(text)
+        argv = ["scenario", "run", str(path)] if command == "scenario" else ["tsa", "day-cycle", str(path)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().out.startswith(f"scenario failed: {message}")
+
     def test_tsa_day_cycle_summary(self, tmp_path, capsys):
         path = bundled_path(tmp_path, "tsa_day_cycle.jsonl")
         assert cli.main(["tsa", "day-cycle", str(path)]) == 0
@@ -218,3 +235,11 @@ class TestEscrowCommand:
         assert "refunded" in out
         assert "arbitrated" in out
         assert (report_dir / "escrow_paths.report.json").exists()
+
+    def test_demo_failure_exits_1_naming_its_line(self, monkeypatch, capsys):
+        def fail(text, name):
+            raise cli.engine.EngineError("no escrow 'e'", 4)
+
+        monkeypatch.setattr(cli.engine, "run_scenario", fail)
+        assert cli.main(["escrow", "demo"]) == 1
+        assert capsys.readouterr().out == "scenario failed: line 4: no escrow 'e'\n"

@@ -47,6 +47,13 @@ class TestDeploy:
         assert a != ct.derive_address("escrow", {"start": 5}, 7)
         assert len(a) == 32
 
+    @pytest.mark.parametrize("init,height", [({}, 2**64), ({}, -1), ({"payer": "t\ud800"}, 1)])
+    def test_deploy_without_an_address_is_invalid_params(self, init, height):
+        # before: struct.error from packing the height, UnicodeEncodeError from the init JSON
+        state = ct.ContractState()
+        with pytest.raises(ct.InvalidParams, match="no address"):
+            state.deploy("net", init, budget(), height)
+
     def test_flat_cost_regardless_of_init_storage(self):
         state = ct.ContractState()
         _, b1 = deploy_counter(state, height=1)
@@ -417,6 +424,26 @@ class TestStatelessRoutines:
             state.invoke(addr, "settle", {"holdings": holdings, "instruction": row}, b)
         assert e.value.reason == "invalid_args"
         assert b.used == ct.FIXED_INVOKE_STEPS + len(holdings)
+
+    @pytest.mark.parametrize("entry", [5, {"cash": 1, "assets": [1]}])
+    def test_settle_refuses_holdings_that_are_not_objects(self, entry):
+        # before: contract_fault:AttributeError
+        holdings = {"alice": {"cash": 0, "assets": {"BOND": 3}}, "bob": entry}
+        row = {"id": "I1", "from": "alice", "to": "bob", "asset": "BOND", "quantity": 1, "cash": 3}
+        state = ct.ContractState()
+        addr = state.deploy("settle", {}, budget(), 1)
+        with pytest.raises(ct.ContractError) as e:
+            state.invoke(addr, "settle", {"holdings": holdings, "instruction": row}, budget())
+        assert e.value.reason == "invalid_args"
+
+    def test_net_refuses_a_self_trade(self):
+        # before: the row netted to nothing
+        state = ct.ContractState()
+        addr = state.deploy("net", {}, budget(), 1)
+        trades = [{"buyer": "a", "seller": "a", "asset": "X", "quantity": 2, "price": 5}]
+        with pytest.raises(ct.ContractError) as e:
+            state.invoke(addr, "net", {"trades": trades}, budget())
+        assert e.value.reason == "invalid_trades"
 
     def test_settle_leaves_input_holdings_untouched(self):
         holdings = {

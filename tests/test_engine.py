@@ -164,6 +164,99 @@ class TestFields:
             engine.run_scenario(lines(self.KEYGEN, doc))
         assert e.value.line == 2
 
+    @pytest.mark.parametrize(
+        "doc,field",
+        [
+            ({"op": "tsa_init", "agency": ["a"]}, "agency"),
+            ({"op": "keygen", "name": ["a"], "seed": "02" * 32}, "name"),
+            ({"op": "buffer_check", "requirement": {}}, "requirement"),
+            ({"op": "deploy", "code_id": "counter", "budget": "x"}, "budget"),
+            ({"op": "deploy", "code_id": "counter", "height": -1}, "height"),
+            ({"op": "deploy", "code_id": "counter", "init": [1]}, "init"),
+            ({"op": "invoke", "target": 5, "method": "get"}, "target"),
+            ({"op": "escrow_sign", "escrow": "e", "signer": "a", "disposition": {}}, "disposition"),
+            ({"op": "open", "id": "m", "kind": "main", "cap": "5"}, "cap"),
+            ({"op": "receipt", "id": "m", "amount": 5, "memo": 7}, "memo"),
+            ({"op": "classify", "sppi_pass": "yes", "business_model": "hold_to_collect"}, "sppi_pass"),
+            ({"op": "tsa_init", "expected": [1]}, "expected"),
+        ],
+    )
+    def test_a_field_holds_one_type_in_every_op(self, doc, field):
+        # before: a bare TypeError or AttributeError from deep in the op, without a line
+        with pytest.raises(engine.ParseError, match=f"line 2: {field} must be") as e:
+            engine.run_scenario(lines(self.KEYGEN, doc))
+        assert e.value.line == 2
+
+    def test_ecl_number_that_overflows_to_infinity_names_its_line(self):
+        # 1e400 is valid JSON that reads as inf; before: decimal.InvalidOperation
+        text = '{"op": "ecl", "exposure": 1e400, "pd_12m": 0.1, "pd_lifetime": 0.2, "lgd": 0.5, "stage": 1}'
+        with pytest.raises(engine.ParseError, match="line 1: exposure must be a finite number"):
+            engine.run_scenario(text)
+
+    def test_expect_error_that_is_not_text_names_its_line(self):
+        # before: TypeError, unhashable list
+        with pytest.raises(engine.ParseError, match="line 2: unknown error class") as e:
+            engine.run_scenario(lines(self.KEYGEN, {"op": "tsa_init", "expect_error": ["TsaError"]}))
+        assert e.value.line == 2
+
+
+class TestRunErrors:
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({"op": "fund", "name": "ghost", "amount": 5}, "no key named 'ghost'"),
+            ({"op": "open", "agency": "north", "id": "m", "kind": "main"}, "no treasury ledger for agency 'north'"),
+            ({"op": "escrow_sign", "escrow": "e", "signer": "a", "disposition": "release"}, "no escrow 'e'"),
+            ({"op": "anchor_day"}, "no treasury ledgers to anchor"),
+        ],
+    )
+    def test_run_state_error_carries_its_line(self, doc, message):
+        # before: an EngineError with no line
+        with pytest.raises(engine.EngineError, match=f"^line 2: {message}") as e:
+            engine.run_scenario(lines({"op": "keygen", "name": "a", "seed": "01" * 32}, doc))
+        assert e.value.line == 2
+
+    @pytest.mark.parametrize(
+        "doc,error",
+        [
+            ({"op": "open", "id": "x", "kind": "nope"}, "TsaError"),
+            ({"op": "classify", "sppi_pass": True, "business_model": "nope"}, "BankLedgerError"),
+            ({"op": "depreciate", "cost": 5, "salvage": 9, "life_periods": 2}, "BankLedgerError"),
+        ],
+    )
+    def test_base_class_refusal_is_declarable_and_carries_its_line(self, doc, error):
+        # before: the base class escaped raw and could not be declared
+        text = lines({"op": "tsa_init"}, doc)
+        with pytest.raises(engine.AssertionFailed) as e:
+            engine.run_scenario(text)
+        assert e.value.line == 2 and e.value.actual["error"] == error
+        report = engine.run_scenario(lines({"op": "tsa_init"}, {**doc, "expect_error": error}))
+        assert report["ops"][-1]["result"] == {"error": error}
+
+    def test_escrow_base_refusal_carries_its_line(self):
+        keys = [{"op": "keygen", "name": n, "seed": f"0{i}" * 32} for i, n in enumerate("bsa", 1)]
+        fund = {"op": "fund", "name": "b", "amount": 100}
+        opened = {"op": "open_escrow", "buyer": "b", "seller": "s", "arbiter": "a", "amount": 10, "fee": 1, "as": "e"}
+        sign = {"op": "escrow_sign", "escrow": "e", "signer": "b", "disposition": "keep"}
+        with pytest.raises(engine.AssertionFailed) as e:
+            engine.run_scenario(lines(*keys, fund, opened, sign))
+        assert e.value.line == 6 and e.value.actual["error"] == "EscrowError"
+
+    def test_contract_refusals_carry_their_line(self):
+        deploy = {"op": "deploy", "code_id": "counter", "height": 2**64}
+        with pytest.raises(engine.AssertionFailed) as e:
+            engine.run_scenario(lines({"op": "tsa_init"}, deploy))
+        # before: struct.error from packing the height
+        assert e.value.line == 2 and e.value.actual["error"] == "InvalidParams"
+
+    def test_repeated_same_day_transaction_is_refused_with_its_line(self):
+        # before: both receipts recorded, then the day close raised DoubleSpend
+        receipt = {"op": "receipt", "id": "m", "amount": 5}
+        text = lines({"op": "tsa_init"}, {"op": "open", "id": "m", "kind": "main"}, receipt, receipt)
+        with pytest.raises(engine.AssertionFailed) as e:
+            engine.run_scenario(text)
+        assert e.value.line == 4 and e.value.actual["error"] == "TsaError"
+
 
 class TestAssertions:
     def test_expected_subset_passes(self):
@@ -239,12 +332,15 @@ class TestAssertions:
             "AlreadyFinal",
             "AlreadyOpen",
             "BadSignature",
+            "BankLedgerError",
             "CapMissing",
             "ConflictingSignature",
             "ContractError",
+            "ContractsError",
             "Dead",
             "DuplicateId",
             "DuplicateKey",
+            "EscrowError",
             "FeeTooLarge",
             "FullyDepreciated",
             "InsufficientFunds",
@@ -256,6 +352,7 @@ class TestAssertions:
             "OutOfSteps",
             "Overdraft",
             "SecondMain",
+            "TsaError",
             "UnbalancedEntry",
             "UnknownAccount",
             "UnknownAddress",

@@ -632,3 +632,62 @@ class TestPolicyFile:
         doc["tps"] = [{"id": "x", "builtin": "rm_rf", "certified_by": "certifier"}]
         with pytest.raises(ig.IntegrityError):
             load_policy(doc)
+
+    @pytest.mark.parametrize(
+        "section,field,value",
+        [
+            ("subjects", "privileged", "false"),
+            ("subjects", "privileged", 1),
+            ("subjects", "biba_level", 2.9),
+            ("subjects", "biba_level", "3"),
+            ("subjects", "biba_level", True),
+            ("subjects", "public_key", "zz"),
+            ("subjects", "public_key", 5),
+            ("items", "biba_level", 1.5),
+            ("items", "value", None),
+            ("items", "value", 1.5),
+            ("items", "value", True),
+            ("tps", "builtin", ["credit"]),
+            ("tps", "certified_by", ["certifier"]),
+            ("ivps", "item", {}),
+            ("triples", "cdis", 5),
+        ],
+    )
+    def test_load_refuses_a_field_of_the_wrong_type_naming_its_entry(self, section, field, value):
+        # before: "false" loaded a privileged subject, 2.9 loaded as level 2,
+        # None as the value b"None", and bad hex or an unhashable name escaped raw
+        doc = {key: [dict(entry) for entry in entries] for key, entries in self.DOC.items()}
+        doc[section][-1][field] = value
+        with pytest.raises(ig.IntegrityError, match=rf"^{section}\[{len(doc[section]) - 1}\]: "):
+            load_policy(doc)
+
+    @pytest.mark.parametrize("entry", [5, "ops", ["id", "ops"], None])
+    def test_load_refuses_an_entry_that_is_not_an_object(self, entry):
+        # before: a bare TypeError or AttributeError
+        doc = {"subjects": [{"id": "ops"}, entry]}
+        with pytest.raises(ig.IntegrityError, match=r"^subjects\[1\]: entry must be an object"):
+            load_policy(doc)
+
+    @pytest.mark.parametrize("section,key", [("subjects", "id"), ("items", "id"), ("tps", "certified_by"), ("triples", "cdis")])
+    def test_load_refuses_a_missing_key_naming_its_entry(self, section, key):
+        # before: a bare KeyError
+        doc = {key_: [dict(entry) for entry in entries] for key_, entries in self.DOC.items()}
+        del doc[section][0][key]
+        with pytest.raises(ig.IntegrityError, match=rf"^{section}\[0\]: .*{key}"):
+            load_policy(doc)
+
+    def test_load_refuses_a_section_that_is_not_a_list(self):
+        with pytest.raises(ig.IntegrityError, match="^items: must be a list"):
+            load_policy({"items": {"id": "x"}})
+
+    def test_load_names_the_entry_of_a_domain_refusal(self):
+        doc = dict(self.DOC)
+        doc["triples"] = [self.DOC["triples"][0], {"subject": "certifier", "tp": "credit", "cdis": ["balance"]}]
+        with pytest.raises(SeparationOfDuty, match=r"^triples\[1\]: "):
+            load_policy(doc)
+
+    def test_load_keeps_integer_and_text_values_as_decimal_text(self):
+        doc = {"subjects": self.DOC["subjects"], "items": [{"id": "a", "value": 17}, {"id": "b", "value": "17"}, {"id": "c"}]}
+        st = load_policy(doc)
+        assert [st.get_item(i).value for i in "abc"] == [b"17", b"17", b""]
+        assert not st.get_subject("ops").privileged and st.get_subject("admin").privileged

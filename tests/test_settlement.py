@@ -203,6 +203,11 @@ class TestNovation:
 
 
 class TestNetting:
+    def test_refuses_a_row_whose_buyer_is_its_seller(self):
+        # before: the row netted to nothing and no error was raised
+        with pytest.raises(st.SettlementError, match="buyer and seller must differ"):
+            st.net_over_dicts([{"buyer": "a", "seller": "a", "asset": "X", "quantity": 2, "price": 5}])
+
     def test_matches_oracle_on_random_sets(self):
         rng = random.Random(4711)
         members = ["m1", "m2", "m3", "m4", "m5"]
@@ -490,6 +495,15 @@ class TestRunCycle:
         holdings["b"]["assets"]["BOND"] = 9
         assert entries["b"]["assets"] == {"BOND": 0}
 
+    @pytest.mark.parametrize("entry", [5, None, [1], {"cash": 1, "assets": [1]}, {"assets": "BOND"}])
+    def test_holdings_from_refuses_an_entry_that_is_not_an_object(self, entry):
+        # before: a bare AttributeError from entry.get or assets.values
+        with pytest.raises(st.SettlementError, match="'s'"):
+            st.holdings_from({"s": entry})
+        config = st.CycleConfig(lag_days=1, initial_holdings={"buyer": {"cash": 50}, "s": entry})
+        with pytest.raises(st.SettlementError):
+            st.run_cycle([trade("T1", "buyer", "s", qty=5, price=10)], config)
+
     def test_deterministic_report_bytes(self):
         def run():
             return st.run_cycle(constant_flow(days=4), st.CycleConfig(lag_days=2, mode=st.MODE_CCP))
@@ -607,3 +621,17 @@ class TestCsv:
         assert len(trades) == 2
         assert trades[0].notional == 1000
         assert trades[1].trade_day == 1
+
+    @pytest.mark.parametrize(
+        "row,error,message",
+        [
+            ("T2,bob,bob,BOND,4,100,0", st.SettlementError, "buyer and seller must differ"),
+            ("T2,bob,carol,BOND,0,100,0", st.NonPositiveQuantity, "trade quantity must be positive"),
+            ("T2,bob,carol,BOND,4,-1,0", st.SettlementError, "trade price must be positive"),
+        ],
+    )
+    def test_trade_refusal_names_its_row(self, row, error, message):
+        # before: the Trade's own refusal escaped without the row
+        text = "id,buyer,seller,asset,quantity,price,day\nT1,alice,bob,BOND,10,100,0\n" + row + "\n"
+        with pytest.raises(error, match=f"^trades row 3: {message}"):
+            st.trades_from_csv(text)

@@ -10,6 +10,12 @@ from ledgerstack import crypto
 from ledgerstack import tsa
 
 
+def emit(led, kind, payload):
+    """Append a signed transaction the ledger itself would refuse, as a
+    dishonest operator could; it reaches the chain at the next day close."""
+    led.pending_txs.append(chain_mod.Transaction.create(kind, payload, led.operator))
+
+
 def ledger_with_main(main_balance=0):
     led = tsa.TsaLedger()
     led.open_account("main", tsa.KIND_MAIN)
@@ -67,6 +73,19 @@ class TestFlows:
             led.record_receipt("main", amount)
         with pytest.raises(tsa.NonPositiveAmount):
             led.record_disbursement("main", amount)
+
+    def test_a_repeat_of_a_pending_transaction_is_refused(self):
+        # before: both were recorded, and the day close raised DoubleSpend,
+        # leaving the day's transactions unsealable
+        led = ledger_with_main()
+        led.record_receipt("main", 50)
+        with pytest.raises(tsa.TsaError, match="repeats a transaction already recorded on day 0"):
+            led.record_receipt("main", 50)
+        assert led.accounts["main"].balance == 50
+        assert led.record_receipt("main", 50, memo="second") == 100
+        led.day_close()
+        assert tsa.replay(led.chain.blocks, led.chain.config) == led.state()
+        assert led.record_receipt("main", 50) == 150  # the next day is another transaction
 
     def test_overdraft(self):
         led = ledger_with_main(100)
@@ -257,7 +276,8 @@ class TestReplay:
         led.open_account("main", tsa.KIND_MAIN)
         led.record_receipt("main", 50)
         # a properly signed, properly sealed day close lying about balances
-        led._emit(
+        emit(
+            led,
             tsa.TX_DAY_CLOSE,
             {"day": 0, "consolidated": 999, "balances": {"main": 999}},
         )
@@ -273,14 +293,14 @@ class TestReplay:
     def test_duplicate_open_is_rejected_on_replay(self):
         led = tsa.TsaLedger()
         led.open_account("main", tsa.KIND_MAIN)
-        led._emit(tsa.TX_OPEN, {"id": "main", "kind": "zba", "cap": None, "day": 0})
+        emit(led, tsa.TX_OPEN, {"id": "main", "kind": "zba", "cap": None, "day": 0})
         led.day_close()
         with pytest.raises(tsa.TsaError, match="duplicate open"):
             tsa.replay(led.chain.blocks, led.chain.config)
 
     def test_unknown_kind_is_rejected_on_replay(self):
         led = ledger_with_main()
-        led._emit("tsa_adjustment", {"id": "main", "amount": 1})
+        emit(led, "tsa_adjustment", {"id": "main", "amount": 1})
         led.day_close()
         with pytest.raises(tsa.TsaError, match="unknown transaction kind"):
             tsa.replay(led.chain.blocks, led.chain.config)
@@ -309,7 +329,8 @@ class TestDeterminism:
 def seal(led, balances, day=0):
     """Sign a day close that agrees with `balances` and seal the pending
     transactions into a block, as a dishonest operator could."""
-    led._emit(
+    emit(
+        led,
         tsa.TX_DAY_CLOSE,
         {"day": day, "consolidated": sum(balances.values()), "balances": balances},
     )
@@ -327,7 +348,7 @@ def forged_chain(emits, balances):
     ([(kind, payload)], day 0), closed with the snapshot `balances`."""
     led = ledger_with_main(10)
     for kind, payload in emits:
-        led._emit(kind, payload)
+        emit(led, kind, payload)
     seal(led, balances)
     return led.chain
 
@@ -457,7 +478,7 @@ class TestReplayRefusesWhatTheLedgerRefuses:
 
     def test_messages_keep_their_phrases(self):
         led = ledger_with_main()
-        led._emit(tsa.TX_OPEN, {"id": "main", "kind": "zba", "cap": None, "day": 0})
+        emit(led, tsa.TX_OPEN, {"id": "main", "kind": "zba", "cap": None, "day": 0})
         led.day_close()
         with pytest.raises(tsa.DuplicateId, match="^replay at height 1 tx 1: .*duplicate open"):
             tsa.replay(led.chain.blocks, led.chain.config)
