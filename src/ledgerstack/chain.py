@@ -28,7 +28,8 @@ import) or a mutated field is verified again. Create and import check each
 tx_id, and the first verify of that transaction reuses the check instead of
 hashing again. verify_chain first checks, in one crypto.verify_many batch,
 every transaction signature not yet accepted, so a cold chain is verified on
-every CPU the process may run on; its walk then meets only memos.
+every CPU the process may run on, by children forked for that batch alone;
+its walk then meets only memos.
 """
 
 from __future__ import annotations

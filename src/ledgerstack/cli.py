@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import string
 import sys
 from importlib import resources
 from pathlib import Path
@@ -25,16 +26,38 @@ from . import chain as chain_mod
 from . import contracts as contracts_mod
 from . import engine
 from . import settlement
-from .crypto import keygen
+from .crypto import SEED_LEN, keygen
 
 DEFAULT_SEED = bytes.fromhex("2a" * 32)
 
 REPORT_DIR_ENV = "LEDGERSTACK_REPORT_DIR"
 
 
-def _chain_config(seed_hex: str | None) -> chain_mod.ChainConfig:
-    seed = bytes.fromhex(seed_hex) if seed_hex else DEFAULT_SEED
-    operator = keygen(seed)
+def _seed(text: str) -> bytes:
+    """The --seed type: 64 hex characters, read as the 32-byte seed."""
+    if len(text) != 2 * SEED_LEN or not set(text) <= set(string.hexdigits):
+        raise argparse.ArgumentTypeError(f"must be {2 * SEED_LEN} hex characters, got {text!r}")
+    return bytes.fromhex(text)
+
+
+def _lag(text: str) -> int:
+    """The --lag type: an int >= 0."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"must be an int >= 0, got {text!r}")
+    return int(text)
+
+
+def _read_text(path: str) -> str | None:
+    """The file's UTF-8 text, or None once the failure is printed."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}")
+        return None
+
+
+def _chain_config(seed: bytes | None) -> chain_mod.ChainConfig:
+    operator = keygen(seed or DEFAULT_SEED)
     return chain_mod.ChainConfig(
         mode="quorum", validators=(operator.public,), quorum_m=1
     )
@@ -62,10 +85,13 @@ def _cmd_chain_init(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_chain(path: str, seed_hex: str | None) -> chain_mod.Chain | None:
+def _load_chain(path: str, seed: bytes | None) -> chain_mod.Chain | None:
     """The chain in the file, or None once the refusal is printed."""
+    text = _read_text(path)
+    if text is None:
+        return None
     try:
-        return chain_mod.Chain.import_jsonl(path, _chain_config(seed_hex))
+        return chain_mod.Chain.from_jsonl(text, _chain_config(seed))
     except (chain_mod.BadImport, chain_mod.EmptyChain) as exc:
         print(f"import failed: {exc}")
         return None
@@ -121,7 +147,8 @@ def _run_scenario(text: str, name: str, report_flag: str | None) -> dict | None:
 
 
 def _run_scenario_file(path: str, report_flag: str | None) -> dict | None:
-    return _run_scenario(Path(path).read_text(encoding="utf-8"), Path(path).stem, report_flag)
+    text = _read_text(path)
+    return None if text is None else _run_scenario(text, Path(path).stem, report_flag)
 
 
 def _cmd_scenario_run(args: argparse.Namespace) -> int:
@@ -166,8 +193,11 @@ def _cmd_contracts_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_settle_run(args: argparse.Namespace) -> int:
+    text = _read_text(args.file)
+    if text is None:
+        return 1
     try:
-        trades = settlement.trades_from_csv(Path(args.file).read_text(encoding="utf-8"))
+        trades = settlement.trades_from_csv(text)
     except settlement.SettlementError as exc:
         print(f"bad trades file: {exc}")
         return 1
@@ -232,23 +262,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = chain_sub.add_parser("init", help="write a fresh chain file")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", help="operator seed (64 hex chars)")
+    p.add_argument("--seed", type=_seed, help="operator seed (64 hex chars)")
     p.set_defaults(func=_cmd_chain_init)
 
     p = chain_sub.add_parser("verify", help="verify a chain file")
     p.add_argument("file")
-    p.add_argument("--seed")
+    p.add_argument("--seed", type=_seed)
     p.set_defaults(func=_cmd_chain_verify)
 
     p = chain_sub.add_parser("export", help="canonical re-export of a chain file")
     p.add_argument("--in", required=True, dest="infile")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed")
+    p.add_argument("--seed", type=_seed)
     p.set_defaults(func=_cmd_chain_export)
 
     p = chain_sub.add_parser("import", help="import a chain file and summarize")
     p.add_argument("file")
-    p.add_argument("--seed")
+    p.add_argument("--seed", type=_seed)
     p.set_defaults(func=_cmd_chain_import)
 
     p_scenario = sub.add_parser("scenario", help="scenario runner")
@@ -274,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     settle_sub = p_settle.add_subparsers(dest="settle_command", required=True)
     p = settle_sub.add_parser("run", help="run a cycle over a trades csv")
     p.add_argument("file")
-    p.add_argument("--lag", type=int, default=2)
+    p.add_argument("--lag", type=_lag, default=2)
     p.add_argument(
         "--mode",
         choices=(

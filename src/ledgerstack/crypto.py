@@ -2,16 +2,18 @@
 
 Everything here is deterministic: the same inputs always produce the same
 bytes. All digests are 32-byte double SHA-256 values, rendered as 64
-lowercase hex characters wherever they leave the process.
+lowercase hex characters wherever they leave the process. verify_many
+checks a large batch of signatures on every CPU, in children forked for
+that batch and reaped before it returns.
 """
 
 from __future__ import annotations
 
-import atexit
 import functools
 import hashlib
 import json
 import os
+import signal
 import threading
 from dataclasses import dataclass
 from typing import Any, Sequence
@@ -201,58 +203,46 @@ def verify(public: bytes, message: bytes, signature: bytes) -> bool:
         return False
 
 
-# Below this many signatures a batch is verified inline: handing a share to
-# a worker and waking it costs about as much as fifteen verifies.
+# Below this many signatures a batch is verified inline: one fork, pipe and
+# reap in a 50-70 MB process costs about 5 ms, some 25-30 verifies.
 PARALLEL_MIN = 256
-
-# (pid of the process that created it, ProcessPoolExecutor); a forked
-# child must not share its parent's pool.
-_pool: tuple[int, Any] | None = None
 
 
 def _verify_share(items: Sequence[tuple[bytes, bytes, bytes]]) -> list[bool]:
     return [verify(*item) for item in items]
 
 
-def _worker_pool(batch: int, cpus: int) -> Any:
-    """The process pool that verifies the shares after the first, or None
-    to verify the whole batch inline."""
-    global _pool
-    if batch < PARALLEL_MIN or cpus < 2:
+def _fork_share(share: Sequence[tuple[bytes, bytes, bytes]]) -> tuple[int, int] | None:
+    """Fork a child that verifies share and writes one byte per triple down a
+    pipe: (its pid, the pipe's read end), or None if no child could start."""
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
         return None
-    if _pool is None or _pool[0] != os.getpid():
-        if threading.active_count() > 1:
-            return None  # forking a process that runs other threads can deadlock
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        # fork, not spawn: a spawned worker re-imports __main__, which a
-        # script read from stdin cannot provide
-        executor = ProcessPoolExecutor(
-            cpus - 1,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_exit_with_parent,
-            initargs=(os.getpid(),),
-        )
-        _pool = (os.getpid(), executor)
-        # released at exit while the modules it needs are still loaded
-        atexit.register(_drop_pool, executor)
-    return _pool[1]
+    if pid:
+        os.close(write)
+        return pid, read
+    code = 1  # the child inherits the share, and never returns
+    try:
+        with open(write, "wb") as pipe:
+            pipe.write(bytes(_verify_share(share)))
+        code = 0
+    finally:
+        os._exit(code)
 
 
-def _exit_with_parent(parent: int) -> None:
-    # An idle worker waits on its call queue for ever, so a parent killed
-    # before its exit handlers run would leave it behind. Linux ends the
-    # worker with its parent (PR_SET_PDEATHSIG); elsewhere this is a no-op.
-    import ctypes
-    import signal
-
-    prctl = getattr(ctypes.CDLL(None), "prctl", None)
-    if prctl is not None:
-        prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
-        prctl(1, signal.SIGKILL)  # PR_SET_PDEATHSIG = 1
-    if os.getppid() != parent:  # the parent died before the call above
-        os._exit(0)
+def _answer(pid: int, read: int, size: int) -> list[bool] | None:
+    """Read and reap one child: its size answers, or None if it did not exit
+    0 or answered short."""
+    try:
+        with open(read, "rb") as pipe:
+            answer = pipe.read()
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    return list(map(bool, answer)) if status == 0 and len(answer) == size else None
 
 
 def verify_many(items: Sequence[tuple[bytes, bytes, bytes]]) -> list[bool]:
@@ -260,41 +250,34 @@ def verify_many(items: Sequence[tuple[bytes, bytes, bytes]]) -> list[bool]:
 
     Ed25519 verification holds the interpreter lock, so a batch of at least
     PARALLEL_MIN signatures is split into one contiguous share per CPU this
-    process may run on: this process verifies the first share and a process
-    pool the others. A share whose worker fails is verified inline, so a
-    True is never reported without a verify.
+    process may run on: this process verifies the first share and one forked
+    child each of the others. Every child is reaped before the call returns.
+    A share whose child could not start, did not exit 0 or answered short is
+    verified inline, so a True is never reported without a verify.
     """
     items = list(items)
-    # platforms without CPU affinity (macOS, Windows) verify inline
+    # platforms without CPU affinity (macOS, Windows) verify inline, and so
+    # does a process that runs other threads: forking it can deadlock
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    pool = _worker_pool(len(items), cpus)
-    if pool is None:
+    if len(items) < PARALLEL_MIN or cpus < 2 or threading.active_count() > 1:
         return _verify_share(items)
     size = -(-len(items) // cpus)
     shares = [items[i : i + size] for i in range(0, len(items), size)]
+    children: list[tuple[int, int] | None] = []
     try:
-        futures = [pool.submit(_verify_share, share) for share in shares[1:]]
-    except RuntimeError:  # a worker was lost while the pool sat idle
-        _drop_pool(pool)
-        return _verify_share(items)
-    results = _verify_share(shares[0])
-    for share, future in zip(shares[1:], futures):
-        try:
-            results += future.result()
-        except Exception:
-            # A lost worker, or a share that could not be sent: verify the
-            # share here, where an error of its own is raised again.
-            _drop_pool(pool)
-            results += _verify_share(share)
-    return results
-
-
-def _drop_pool(pool: Any) -> None:
-    """Shut the pool down and forget it; the next large batch starts a new one."""
-    global _pool
-    if _pool is not None and _pool[1] is pool:
-        _pool = None
-        pool.shutdown()
+        for share in shares[1:]:
+            children.append(_fork_share(share))
+        results = _verify_share(shares[0])
+        for share in shares[1:]:
+            child = children.pop(0)
+            answer = None if child is None else _answer(*child, len(share))
+            results += _verify_share(share) if answer is None else answer
+        return results
+    finally:
+        for pid, read in filter(None, children):  # left by an exception
+            os.close(read)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 # ---------------------------------------------------------------------------

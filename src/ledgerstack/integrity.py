@@ -600,6 +600,8 @@ def load_policy(doc: Mapping[str, Any]) -> PolicyState:
     Levels are ints, `privileged` a bool and an item `value` text or an int
     (kept as its decimal text). A refusal names its entry: "items[1]: ...".
     """
+    if not isinstance(doc, Mapping):
+        raise IntegrityError(f"policy document must be an object, got {doc!r}")
     state = PolicyState()
     for section, load in _LOADERS.items():
         entries = doc.get(section, [])

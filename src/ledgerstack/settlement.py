@@ -106,6 +106,8 @@ class Trade:
             raise NonPositiveQuantity("trade quantity must be positive")
         if not is_money(self.price):
             raise SettlementError("trade price must be positive")
+        if type(self.trade_day) is not int or not 0 <= self.trade_day <= chain_mod.U64_MAX:
+            raise SettlementError(f"trade day must be an int in 0..2^64-1, got {self.trade_day!r}")
 
     @property
     def notional(self) -> int:

@@ -96,13 +96,15 @@ class TestChainCommands:
         led.day_close()
         path = tmp_path / "chain.jsonl"
         led.chain.export_jsonl(str(path))
-        # two CPUs whatever the host has, so the worker path runs
+        # two CPUs whatever the host has, so one child verifies a share
         code = (
             "import os, sys\n"
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "forks, fork = [], os.fork\n"
+            "os.fork = lambda: forks.append(1) or fork()\n"
             "from ledgerstack.cli import main\n"
             "code = main(sys.argv[1:])\n"
-            "print('pool used:', 'concurrent.futures' in sys.modules, file=sys.stderr)\n"
+            "print('forks:', len(forks), file=sys.stderr)\n"
             "sys.exit(code)"
         )
         proc = subprocess.Popen(
@@ -110,13 +112,13 @@ class TestChainCommands:
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=child_env,
         )
         try:
-            # a worker left running would hold the pipes open past the timeout
+            # a child left running would hold the pipes open past the timeout
             out, err = proc.communicate(timeout=60)
         finally:
             proc.kill()
         assert proc.returncode == 0
         assert out.startswith(f"valid: height 1, {crypto.PARALLEL_MIN + 2} tx(s)")
-        assert err == "pool used: True\n"
+        assert err == "forks: 1\n"
 
 
 class TestScenarioCommands:
@@ -224,6 +226,60 @@ class TestSettleCommand:
         csv_path = tmp_path / "trades.csv"
         csv_path.write_text("id,buyer\nT1,alice\n")
         assert cli.main(["settle", "run", str(csv_path)]) == 1
+
+
+class TestInputErrors:
+    """Bad flags are parser errors (exit 2) and an unreadable input file is
+    one printed line (exit 1); neither ends in a traceback."""
+
+    @pytest.mark.parametrize("seed", ["zz", "abcd", "2a" * 31, "2a" * 33, "2a" * 31 + " a", ""])
+    @pytest.mark.parametrize("command", [["chain", "init", "--out", "x.jsonl"], ["chain", "verify", "x.jsonl"]])
+    def test_seed_that_is_not_64_hex_characters_is_a_parser_error(self, command, seed, capsys, monkeypatch, tmp_path):
+        # before: "zz" raised ValueError and "abcd" BadSeed
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(command + ["--seed", seed])
+        assert exc.value.code == 2
+        assert "--seed: must be 64 hex characters" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lag", ["-1", "x", "1.5"])
+    def test_lag_that_is_not_a_non_negative_int_is_a_parser_error(self, tmp_path, lag, capsys):
+        # before: -1 raised a SettlementError traceback
+        csv_path = tmp_path / "trades.csv"
+        csv_path.write_text("id,buyer,seller,asset,quantity,price,day\nT1,a,b,BOND,1,100,0\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["settle", "run", str(csv_path), "--lag", lag])
+        assert exc.value.code == 2
+        assert "--lag: must be an int >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["chain", "verify", "{}"],
+            ["chain", "import", "{}"],
+            ["chain", "export", "--in", "{}", "--out", "out.jsonl"],
+            ["settle", "run", "{}"],
+            ["scenario", "run", "{}"],
+            ["tsa", "day-cycle", "{}"],
+        ],
+    )
+    def test_missing_input_file_exits_1(self, tmp_path, command, capsys):
+        missing = str(tmp_path / "missing")
+        assert cli.main([arg.format(missing) for arg in command]) == 1
+        assert capsys.readouterr().out == f"cannot read {missing}: No such file or directory\n"
+
+    def test_input_file_that_is_not_utf8_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "chain.jsonl"
+        path.write_bytes(b"\xff\n")
+        assert cli.main(["chain", "verify", str(path)]) == 1
+        assert capsys.readouterr().out.startswith(f"cannot read {path}: ")
+
+    def test_trade_day_out_of_range_names_its_row(self, tmp_path, capsys):
+        # before: a ChainError traceback from the cycle's chain
+        csv_path = tmp_path / "trades.csv"
+        csv_path.write_text("id,buyer,seller,asset,quantity,price,day\nT1,a,b,BOND,1,100,-5\n")
+        assert cli.main(["settle", "run", str(csv_path)]) == 1
+        assert capsys.readouterr().out.startswith("bad trades file: trades row 2: trade day must be an int")
 
 
 class TestEscrowCommand:

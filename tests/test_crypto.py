@@ -7,12 +7,12 @@ oracles.py and the inline expansions below), never from the code under test.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import pickle
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -251,9 +251,28 @@ TRIPLES = _mixed_triples(2 * crypto.PARALLEL_MIN + 3)
 EXPECTED = [verify(*t) for t in TRIPLES]
 
 
+def _raise(exc: BaseException):
+    raise exc
+
+
+def _log_verifies(monkeypatch, in_child=lambda n: None) -> list[tuple]:
+    """Log each triple this process verifies; before its n-th verify (from
+    0), a forked child calls in_child(n)."""
+    parent, seen, real = os.getpid(), [], crypto.verify
+
+    def logged(*t):
+        if os.getpid() != parent:
+            in_child(len(seen))
+        seen.append(t)
+        return real(*t)
+
+    monkeypatch.setattr(crypto, "verify", logged)
+    return seen
+
+
 class TestVerifyMany:
     """verify_many returns what verify returns, one triple at a time, on
-    the inline path and on the worker path alike."""
+    the inline path and on the forked path alike."""
 
     @pytest.mark.parametrize("n_cpus", [1, 2, 3])
     @pytest.mark.parametrize(
@@ -265,38 +284,117 @@ class TestVerifyMany:
 
     def test_large_batch_leaves_later_shares_to_workers(self, cpus, monkeypatch):
         cpus(2)
-        seen = []
-        real = crypto.verify
-        monkeypatch.setattr(crypto, "verify", lambda *t: seen.append(t) or real(*t))
+        seen = _log_verifies(monkeypatch)
         assert verify_many(TRIPLES) == EXPECTED
         assert seen == TRIPLES[: -(-len(TRIPLES) // 2)]
 
-    def test_share_of_a_lost_worker_is_verified_inline(self, cpus):
+    def test_share_is_inherited_not_pickled(self, cpus, monkeypatch):
         cpus(2)
-        assert verify_many(TRIPLES) == EXPECTED  # the pool is up
-        for child in multiprocessing.active_children():
-            os.kill(child.pid, signal.SIGKILL)
-            child.join(timeout=10)
-        assert verify_many(TRIPLES) == EXPECTED
-        assert verify_many(TRIPLES) == EXPECTED  # on a new pool
-
-    def test_share_that_cannot_be_sent_is_verified_inline(self, cpus):
-        cpus(2)
+        seen = _log_verifies(monkeypatch)
         items = TRIPLES[:-1] + [(TRIPLES[0][0], memoryview(TRIPLES[0][1]), TRIPLES[0][2])]
         with pytest.raises(TypeError):
             pickle.dumps(items[-1])
         assert verify_many(items) == [verify(*t) for t in items]
+        assert len(seen) == -(-len(items) // 2)  # the child verified the last share
+
+    @pytest.mark.parametrize(
+        "fault",
+        [
+            pytest.param(lambda n: n == 9 and os.kill(os.getpid(), signal.SIGKILL), id="killed-mid-share"),
+            pytest.param(lambda n: n == 9 and _raise(RuntimeError("lost")), id="raises-mid-share"),
+            pytest.param(lambda n: os._exit(0), id="exits-0-without-an-answer"),
+        ],
+    )
+    @pytest.mark.parametrize("n_cpus", [2, 3])
+    def test_share_of_a_failed_child_is_verified_inline(self, cpus, monkeypatch, n_cpus, fault):
+        cpus(n_cpus)
+        seen = _log_verifies(monkeypatch, fault)
+        assert verify_many(TRIPLES) == EXPECTED
+        assert seen == TRIPLES  # the first share, then every child's share again
+
+    def test_full_answer_of_a_child_that_exits_non_zero_is_verified_again(self, cpus, monkeypatch):
+        cpus(2)
+        seen = _log_verifies(monkeypatch)
+        exit_ = os._exit
+        monkeypatch.setattr(crypto.os, "_exit", lambda code: exit_(3))  # only a child exits
+        assert verify_many(TRIPLES) == EXPECTED
+        assert seen == TRIPLES
+
+    def test_share_of_a_fork_that_raises_is_verified_inline(self, cpus, monkeypatch):
+        cpus(3)
+        seen = _log_verifies(monkeypatch)
+        monkeypatch.setattr(crypto.os, "fork", lambda: _raise(OSError(11, "Resource temporarily unavailable")))
+        assert verify_many(TRIPLES) == EXPECTED
+        assert seen == TRIPLES
+
+    def test_a_process_that_runs_threads_never_forks(self, cpus, monkeypatch):
+        cpus(2)
+        forks, fork = [], os.fork
+        monkeypatch.setattr(crypto.os, "fork", lambda: forks.append(1) or fork())
+        assert verify_many(TRIPLES) == EXPECTED
+        assert forks == [1]
+        stop = threading.Event()
+        waiter = threading.Thread(target=stop.wait)
+        waiter.start()
+        try:
+            assert verify_many(TRIPLES) == EXPECTED
+        finally:
+            stop.set()
+            waiter.join()
+        assert forks == [1]
+
+    @pytest.mark.parametrize(
+        "mode, printed",
+        [("ok", "True"), ("child_killed", "True"), ("parent_raises", "interrupted")],
+    )
+    def test_no_child_is_left_after_the_call(self, mode, printed, child_env):
+        # a fresh interpreter, so that no other child of the test run is counted
+        code = (
+            "import os, signal, sys\n"
+            "from ledgerstack import crypto\n"
+            "crypto.os.sched_getaffinity = lambda pid: {0, 1, 2}\n"
+            "kp = crypto.keygen(bytes(32))\n"
+            "items = [(kp.public, b'm', crypto.sign(kp.secret, b'm'))] * crypto.PARALLEL_MIN\n"
+            "parent, real, mode = os.getpid(), crypto.verify, sys.argv[1]\n"
+            "def verify(*t):\n"
+            "    if mode == 'child_killed' and os.getpid() != parent:\n"
+            "        os.kill(os.getpid(), signal.SIGKILL)\n"
+            "    if mode == 'parent_raises' and os.getpid() == parent:\n"
+            "        raise KeyboardInterrupt\n"
+            "    return real(*t)\n"
+            "crypto.verify = verify\n"
+            "try:\n"
+            "    print(crypto.verify_many(items) == [True] * len(items))\n"
+            "except KeyboardInterrupt:\n"
+            "    print('interrupted')\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "except ChildProcessError:\n"
+            "    print('no child')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, mode], capture_output=True, text=True, env=child_env, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n") == [printed, "no child", ""]
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
-    def test_workers_end_with_a_killed_parent(self, child_env):
+    def test_a_child_ends_with_its_share_when_its_parent_is_killed(self, child_env):
+        # the child announces itself, then takes about 1.3 s over its share
         code = (
-            "import multiprocessing, os, sys, time\n"
+            "import os, time\n"
             "from ledgerstack import crypto\n"
             "crypto.os.sched_getaffinity = lambda pid: {0, 1}\n"
             "kp = crypto.keygen(bytes(32))\n"
+            "parent, real, announced = os.getpid(), crypto.verify, []\n"
+            "def verify(*t):\n"
+            "    if os.getpid() != parent:\n"
+            "        if not announced:\n"
+            "            announced.append(print(os.getpid(), flush=True))\n"
+            "        time.sleep(0.01)\n"
+            "    return real(*t)\n"
+            "crypto.verify = verify\n"
             "crypto.verify_many([(kp.public, b'm', crypto.sign(kp.secret, b'm'))] * crypto.PARALLEL_MIN)\n"
-            "print(*[c.pid for c in multiprocessing.active_children()], flush=True)\n"
-            "time.sleep(60)"
         )
         def running(pid: int) -> bool:
             try:
@@ -307,53 +405,18 @@ class TestVerifyMany:
 
         parent = subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE, text=True, env=child_env)
         with parent.stdout:
-            workers = [int(pid) for pid in parent.stdout.readline().split()]
-            parent.terminate()  # SIGTERM: no exit handlers run
+            child = int(parent.stdout.readline())
+            parent.kill()  # mid-batch: no handler of its own runs
             parent.wait(timeout=60)
         try:
+            assert running(child)
             deadline = time.monotonic() + 30
-            while any(map(running, workers)) and time.monotonic() < deadline:
+            while running(child) and time.monotonic() < deadline:
                 time.sleep(0.05)
-            assert workers and not any(map(running, workers))
+            assert not running(child)
         finally:
-            for pid in filter(running, workers):
-                os.kill(pid, signal.SIGKILL)
-
-    @pytest.mark.parametrize(
-        "code, printed",
-        [
-            # importing the package starts and imports nothing of the pool
-            (
-                "import importlib, pkgutil, sys, ledgerstack\n"
-                "for m in pkgutil.iter_modules(ledgerstack.__path__):\n"
-                "    importlib.import_module('ledgerstack.' + m.name)\n"
-                "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))",
-                "[]",
-            ),
-            # a process that runs other threads is never forked
-            (
-                "import sys, threading\n"
-                "from ledgerstack import crypto\n"
-                "crypto.os.sched_getaffinity = lambda pid: {0, 1}\n"
-                "kp = crypto.keygen(bytes(32))\n"
-                "items = [(kp.public, b'm', crypto.sign(kp.secret, b'm'))] * crypto.PARALLEL_MIN\n"
-                "stop = threading.Event()\n"
-                "waiter = threading.Thread(target=stop.wait)\n"
-                "waiter.start()\n"
-                "ok = crypto.verify_many(items) == [True] * len(items)\n"
-                "stop.set()\n"
-                "waiter.join()\n"
-                "print(ok, crypto._pool, 'multiprocessing' in sys.modules)",
-                "True None False",
-            ),
-        ],
-    )
-    def test_in_a_fresh_interpreter(self, code, printed, child_env):
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=child_env, timeout=60
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == printed
+            if running(child):
+                os.kill(child, signal.SIGKILL)
 
 
 class TestPeriodStamp:

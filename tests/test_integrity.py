@@ -676,6 +676,12 @@ class TestPolicyFile:
         with pytest.raises(ig.IntegrityError, match=rf"^{section}\[0\]: .*{key}"):
             load_policy(doc)
 
+    @pytest.mark.parametrize("doc", [[1], [], "subjects", 5, None])
+    def test_load_refuses_a_document_that_is_not_an_object(self, doc):
+        # before: a bare AttributeError ('list' object has no attribute 'get')
+        with pytest.raises(ig.IntegrityError, match="^policy document must be an object"):
+            load_policy(doc)
+
     def test_load_refuses_a_section_that_is_not_a_list(self):
         with pytest.raises(ig.IntegrityError, match="^items: must be a list"):
             load_policy({"items": {"id": "x"}})

@@ -1,7 +1,8 @@
 """The benchmark's correctness gates, run once as ordinary tests.
 
-Each workload in perfbench/workloads.py runs one round on seed 1 and its
-check must find nothing wrong; the bundled-scenario gate must pass too.
+Each workload in perfbench/workloads.py runs one round on seed 1 (audit
+also on seeds 2-4) and its check must find nothing wrong; the
+bundled-scenario gate must pass too.
 A broken gate (for example tsa.replay disagreeing with the live ledger)
 then fails here, not first in a benchmark run. perfbench/ is only read.
 
@@ -32,10 +33,16 @@ def workloads():
         del sys.modules[name]
 
 
-@pytest.mark.parametrize("workload", ["treasury", "settlement", "audit"])
-def test_one_round_passes_its_check(workloads, workload):
+# Audit seeds 1-4 tamper with the approval, a payload, a transaction
+# signature and the merkle root in their first round, so every branch of
+# audit_check runs.
+@pytest.mark.parametrize(
+    "workload, seed",
+    [("treasury", 1), ("settlement", 1), ("audit", 1), ("audit", 2), ("audit", 3), ("audit", 4)],
+)
+def test_one_round_passes_its_check(workloads, workload, seed):
     setup, run, check = workloads.WORKLOADS[workload]
-    state = setup(1, 0)
+    state = setup(seed, 0)
     rnd = run(state)
     assert check(state, rnd, True) == []
 

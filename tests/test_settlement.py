@@ -63,6 +63,15 @@ class TestOrdersAndTrades:
         with pytest.raises(st.SettlementError, match="trade price must be positive"):
             trade("T1", "a", "b", price=True)
 
+    @pytest.mark.parametrize("day", [-5, 2**64, 1.5, True, "3", None])
+    def test_trade_day_must_be_a_u64_int(self, day):
+        # before: accepted, and run_cycle raised ChainError from _Cycle._seal
+        with pytest.raises(st.SettlementError, match="trade day must be an int in 0..2\\^64-1"):
+            trade("T1", "a", "b", day=day)
+
+    def test_trade_day_at_the_u64_bounds_is_accepted(self):
+        assert [trade("T1", "a", "b", day=d).trade_day for d in (0, 2**64 - 1)] == [0, 2**64 - 1]
+
 
 class TestMatching:
     def test_crossing_executes_at_resting_price(self):
@@ -628,6 +637,8 @@ class TestCsv:
             ("T2,bob,bob,BOND,4,100,0", st.SettlementError, "buyer and seller must differ"),
             ("T2,bob,carol,BOND,0,100,0", st.NonPositiveQuantity, "trade quantity must be positive"),
             ("T2,bob,carol,BOND,4,-1,0", st.SettlementError, "trade price must be positive"),
+            ("T2,bob,carol,BOND,4,100,-5", st.SettlementError, "trade day must be an int"),
+            ("T2,bob,carol,BOND,4,100,18446744073709551616", st.SettlementError, "trade day must be an int"),
         ],
     )
     def test_trade_refusal_names_its_row(self, row, error, message):
