@@ -138,17 +138,20 @@ class PrimeBooks:
     def from_csv(cls, text: str) -> "PrimeBooks":
         """Columns: book,date,counterparty,amount[,memo]."""
         books = cls()
-        reader = csv.DictReader(io.StringIO(text))
-        for row in reader:
-            books.post(
-                PrimeEntry(
+        for n, row in enumerate(csv.DictReader(io.StringIO(text)), 2):
+            try:
+                entry = PrimeEntry(
                     book=row["book"].strip(),
                     date=row["date"].strip(),
                     counterparty=row["counterparty"].strip(),
                     amount=int(row["amount"]),
                     memo=(row.get("memo") or "").strip(),
                 )
-            )
+            except BankLedgerError as exc:  # the entry's own refusal keeps its class
+                raise type(exc)(f"prime row {n}: {exc}") from None
+            except (KeyError, TypeError, ValueError, AttributeError) as exc:
+                raise BankLedgerError(f"prime row {n}: {exc}") from None
+            books.post(entry)
         return books
 
 

@@ -10,13 +10,14 @@ bytes with the signature field excluded, so a transaction id commits to
 kind, payload, and author but not to the signature itself.
 
 Two append modes exist. In quorum mode a block is appended once m distinct
-configured validators have signed its block_id; the nonce stays 0. In
-proof-of-work mode the nonce is searched sequentially from 0 until the
-block_id has the required number of leading zero bits.
+configured validators have signed its block_id, each approval made by
+Chain.seal alone; the nonce stays 0. In proof-of-work mode the nonce is
+searched sequentially from 0 until the block_id has the required number of
+leading zero bits.
 
-The genesis block (height 0, all-zero prev_hash, no transactions, all-zero
-merkle root) is created by the Chain constructor and acts as the trust
-anchor: it needs neither approvals nor work.
+The genesis block (height 0, all-zero prev_hash, wall_time 0, no
+transactions, all-zero merkle root) is created by the Chain constructor and
+acts as the trust anchor: it needs neither approvals nor work.
 
 validate_block is the one place a block is checked: build_block,
 approve_and_append and append_mined raise for the reason code it returns,
@@ -460,20 +461,10 @@ class VerifyResult:
 class Chain:
     """Append-only block list under a fixed consensus configuration."""
 
-    def __init__(self, config: ChainConfig, genesis_time: int = 0):
+    def __init__(self, config: ChainConfig):
         self.config = config
-        genesis = Block(
-            header=BlockHeader(
-                height=0,
-                prev_hash=ZERO32,
-                merkle_root=ZERO32,
-                wall_time=genesis_time,
-                tx_count=0,
-                nonce=0,
-            ),
-            txs=(),
-        )
-        self.blocks: list[Block] = [genesis]
+        genesis = BlockHeader(height=0, prev_hash=ZERO32, merkle_root=ZERO32, wall_time=0, tx_count=0, nonce=0)
+        self.blocks: list[Block] = [Block(header=genesis, txs=())]
         self._tx_ids: set[bytes] = set()
 
     @property
@@ -519,6 +510,13 @@ class Chain:
             Block(header=block.header, txs=block.txs, approvals=tuple(approvals))
         )
 
+    def seal(self, txs: Sequence[Transaction], wall_time: int, *signers: crypto.KeyPair) -> Block:
+        """Build the next block from txs, have each signer approve its
+        block_id, and append it under quorum rules."""
+        block = self.build_block(txs, wall_time)
+        bid = block.block_id
+        return self.approve_and_append(block, [Approval(k.public, crypto.sign(k.secret, bid)) for k in signers])
+
     def append_mined(self, block: Block) -> Block:
         """Append under proof-of-work rules: header must meet the target."""
         if self.config.mode != MODE_POW:
@@ -555,11 +553,6 @@ class Chain:
         chain.blocks = [_block_from_line(ln, i + 1) for i, ln in enumerate(lines)]
         chain._tx_ids = {tx.tx_id for b in chain.blocks for tx in b.txs}
         return chain
-
-    @classmethod
-    def import_jsonl(cls, path: str, config: ChainConfig) -> "Chain":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_jsonl(fh.read(), config)
 
 
 def verify_chain(blocks: Sequence[Block], config: ChainConfig) -> VerifyResult:

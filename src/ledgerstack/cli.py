@@ -57,10 +57,7 @@ def _read_text(path: str) -> str | None:
 
 
 def _chain_config(seed: bytes | None) -> chain_mod.ChainConfig:
-    operator = keygen(seed or DEFAULT_SEED)
-    return chain_mod.ChainConfig(
-        mode="quorum", validators=(operator.public,), quorum_m=1
-    )
+    return chain_mod.ChainConfig(validators=(keygen(seed or DEFAULT_SEED).public,))
 
 
 def _write_report(flag_value: str | None, stem: str, payload: bytes) -> None:
@@ -196,17 +193,17 @@ def _cmd_settle_run(args: argparse.Namespace) -> int:
     text = _read_text(args.file)
     if text is None:
         return 1
-    try:
-        trades = settlement.trades_from_csv(text)
-    except settlement.SettlementError as exc:
-        print(f"bad trades file: {exc}")
-        return 1
     config = settlement.CycleConfig(
         lag_days=args.lag,
         mode=args.mode,
         leg_mode=settlement.FOP if args.fop else settlement.DVP,
     )
-    report = settlement.run_cycle(trades, config)
+    try:
+        trades = settlement.trades_from_csv(text)
+        report = settlement.run_cycle(trades, config)
+    except settlement.SettlementError as exc:
+        print(f"bad trades file: {exc}")
+        return 1
     print(f"mode {report.mode}, lag {report.lag_days} day(s), {len(trades)} trade(s)")
     for row in report.days:
         print(

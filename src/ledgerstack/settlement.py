@@ -5,7 +5,10 @@ and block-verified on an exchange chain, per-day netting results land on a
 clearing chain, and settlement instructions plus their outcomes land on a
 settlement chain. A block finalized on one chain is what triggers
 transaction creation on the next; netting reads the finalized exchange
-block rather than the in-memory trade list.
+block rather than the in-memory trade list. A trade naming its mode's hub
+(HUBS, fixed names) as a party is refused before any chain work. Only trade
+days and days with an obligation open are walked; any other day's row would
+be empty.
 
 Settlement operates on a holdings map: member -> {"cash": int, "assets":
 {symbol: quantity}}. Every obligation moves through one exchange that
@@ -23,13 +26,13 @@ per-day series plateaus at exactly L * N.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_right, insort
 from dataclasses import asdict, dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
 
 from . import chain as chain_mod
 from .chain import Chain, ChainConfig, Transaction
-from .crypto import is_money, is_money_or_zero, keygen, sign
+from .crypto import is_money, is_money_or_zero, keygen
 
 BUY = "buy"
 SELL = "sell"
@@ -47,6 +50,11 @@ FAILED = "failed"
 
 INSUFFICIENT_ASSET = "insufficient_asset"
 INSUFFICIENT_CASH = "insufficient_cash"
+
+# The counterparty every member settles against in the modes that have one.
+HUBS = {MODE_CCP: "CCP", MODE_CONSORTIUM: "CONSORTIUM"}
+# The one key that signs and approves on all three cycle chains.
+CYCLE_OPERATOR_SEED = b"\x11" * 32
 
 
 class SettlementError(Exception):
@@ -454,9 +462,6 @@ class CycleConfig:
     lag_days: int = 2
     mode: str = MODE_BILATERAL
     leg_mode: str = DVP
-    ccp_id: str = "CCP"
-    pool_id: str = "CONSORTIUM"
-    operator_seed: bytes = b"\x11" * 32
     initial_holdings: Mapping[str, Mapping[str, Any]] | None = None
 
     def __post_init__(self):
@@ -470,7 +475,7 @@ class CycleConfig:
     @property
     def hub(self) -> str | None:
         """The counterparty every member settles against, if the mode has one."""
-        return {MODE_CCP: self.ccp_id, MODE_CONSORTIUM: self.pool_id}.get(self.mode)
+        return HUBS.get(self.mode)
 
 
 @dataclass
@@ -505,10 +510,14 @@ def run_cycle(trades: Sequence[Trade], config: CycleConfig) -> CycleReport:
     for t in sorted(trades, key=lambda t: (t.trade_day, t.id)):
         if t.superseded:
             raise SettlementError(f"trade {t.id!r} is already superseded")
+        if config.hub in (t.buyer, t.seller):
+            raise SettlementError(f"trade {t.id!r} names the {config.mode} hub {config.hub!r} as a party")
         by_day.setdefault(t.trade_day, []).append(t)
     cycle = _Cycle(config, _opening_holdings(trades, config))
     days: list[dict[str, Any]] = []
-    for day in range(min(by_day), max(by_day) + config.lag_days + 1):
+    day, last = min(by_day), max(by_day) + config.lag_days
+    stops = [*by_day, last + 1]  # the trade days (ascending, as filled), then the end
+    while day <= last:
         todays = by_day.get(day, [])
         created, transfers = cycle.clear(day, cycle.record(day, todays)) if todays else ([], [])
         settled, failed = cycle.settle(day, created)
@@ -523,6 +532,8 @@ def run_cycle(trades: Sequence[Trade], config: CycleConfig) -> CycleReport:
                 "exposure_eod": cycle.exposure(),
             }
         )
+        # with nothing open, every day before the next stop would be an empty row
+        day = day + 1 if days[-1]["pending_eod"] else stops[bisect_right(stops, day)]
     return cycle.report(trades, days)
 
 
@@ -551,8 +562,8 @@ class _Cycle:
     def __init__(self, config: CycleConfig, holdings: Holdings):
         self.config = config
         self.holdings = holdings
-        self.operator = keygen(config.operator_seed)
-        chain_cfg = ChainConfig(mode="quorum", validators=(self.operator.public,), quorum_m=1)
+        self.operator = keygen(CYCLE_OPERATOR_SEED)
+        chain_cfg = ChainConfig(validators=(self.operator.public,))
         self.chains = {name: Chain(chain_cfg) for name in ("exchange", "clearing", "settlement")}
         self.instructions: list[SettlementInstruction] = []
         self.transfers: list[CashTransfer] = []
@@ -566,11 +577,8 @@ class _Cycle:
             self.net_addr = self.net_contract.deploy("net", {}, contracts.StepBudget(limit=100), height=0)
 
     def _seal(self, which: str, kinds_payloads: list[tuple[str, dict]], day: int) -> Any:
-        target = self.chains[which]
         txs = [Transaction.create(kind, payload, self.operator) for kind, payload in kinds_payloads]
-        block = target.build_block(txs, wall_time=day)
-        approval = chain_mod.Approval(self.operator.public, sign(self.operator.secret, block.block_id))
-        return target.approve_and_append(block, [approval])
+        return self.chains[which].seal(txs, day, self.operator)
 
     def record(self, day: int, todays: list[Trade]) -> list[dict[str, Any]]:
         """Seal the day's trades on the exchange chain and read them back
@@ -637,7 +645,7 @@ class _Cycle:
             # novate fresh Trade objects rebuilt from the block, never the caller's
             legs: list[Trade] = []
             for bt in block_trades:
-                legs.extend(novate(Trade(**bt), self.config.ccp_id))
+                legs.extend(novate(Trade(**bt), self.config.hub))
             return net_positions(legs)
         from . import contracts
 
@@ -654,8 +662,6 @@ class _Cycle:
         instruction plus a cash transfer.
         """
         hub, member, qty, cash = self.config.hub, pos.member, pos.net_quantity, pos.net_cash
-        if member == hub:
-            return
         if qty > 0 and cash <= 0:
             self._instruct(day, hub, member, pos.asset, qty, -cash, self.config.leg_mode)
         elif qty < 0 and cash >= 0:

@@ -4,8 +4,8 @@ One main account concentrates government cash. Around it sit subsidiary
 ledgers, zero-balance accounts, imprest floats with fixed caps, transit
 collection accounts, and correspondent accounts; correspondents sweep
 like transit accounts. Every balance change is recorded as a signed
-transaction, batched into one block per business day, so the whole
-account state replays from the chain alone.
+transaction, batched into one block per business day that the operator
+seals, so the whole account state replays from the chain alone.
 
 The end-of-day sweep is not hand-rolled here: the ledger deploys the
 zba_sweep contract once and asks it to plan the concentration transfers
@@ -20,7 +20,7 @@ from typing import Any, Sequence
 from . import chain as chain_mod
 from . import contracts as contracts_mod
 from .chain import Block, Chain, ChainConfig, Transaction
-from .crypto import is_money, keygen, sign
+from .crypto import is_money, keygen
 
 KINDS = contracts_mod.ACCOUNT_KINDS
 
@@ -155,12 +155,9 @@ def _snapshot(accounts: dict[str, TsaAccount], day: int) -> dict[str, Any]:
 
 
 class TsaLedger:
-    def __init__(self, operator_seed: bytes = DEFAULT_OPERATOR_SEED, genesis_time: int = 0):
+    def __init__(self, operator_seed: bytes = DEFAULT_OPERATOR_SEED):
         self.operator = keygen(operator_seed)
-        self.chain = Chain(
-            ChainConfig(mode="quorum", validators=(self.operator.public,), quorum_m=1),
-            genesis_time=genesis_time,
-        )
+        self.chain = Chain(ChainConfig(validators=(self.operator.public,)))
         self.accounts: dict[str, TsaAccount] = {}
         self.day = 0
         self.pending_txs: list[Transaction] = []
@@ -239,11 +236,7 @@ class TsaLedger:
         balances = {acct_id: a.balance for acct_id, a in self.accounts.items()}
         close = {"day": self.day, "consolidated": sum(balances.values()), "balances": balances}
         next_day = self._record(TX_DAY_CLOSE, close)
-        block = self.chain.build_block(self.pending_txs, wall_time=self.day)
-        approval = chain_mod.Approval(
-            self.operator.public, sign(self.operator.secret, block.block_id)
-        )
-        accepted = self.chain.approve_and_append(block, [approval])
+        accepted = self.chain.seal(self.pending_txs, self.day, self.operator)
         self.pending_txs = []
         self.day = next_day
         return accepted

@@ -89,11 +89,7 @@ def _ten_block_chain(operator):
             chain_mod.Transaction.create("note", {"h": h, "i": i}, operator)
             for i in range(2)
         ]
-        block = ch.build_block(txs, wall_time=h)
-        approval = chain_mod.Approval(
-            operator.public, crypto.sign(operator.secret, block.block_id)
-        )
-        ch.approve_and_append(block, [approval])
+        ch.seal(txs, h, operator)
     return ch
 
 

@@ -85,6 +85,26 @@ class TestPrimeBooks:
         with pytest.raises(bank.NonPositiveAmount):
             bank.PrimeBooks.from_csv(text)
 
+    @pytest.mark.parametrize(
+        "text,error,message",
+        [
+            # before: KeyError, AttributeError, TypeError and ValueError escaped bare
+            ("book,date,amount\ncash,d,5\ncash,d,6\n", bank.BankLedgerError, "prime row 2: 'counterparty'"),
+            ("book,date,counterparty,amount\ncash,d,x,5\ncash,d\n", bank.BankLedgerError, "prime row 3: "),
+            ("book,date,counterparty,amount\ncash,d,x,five\n", bank.BankLedgerError, "prime row 2: invalid literal"),
+            ("book,date,counterparty,amount\ncash,d,x,1.5\n", bank.BankLedgerError, "prime row 2: invalid literal"),
+            # before: the entry's own refusal carried no row
+            ("book,date,counterparty,amount\ncash,d,x,5\nledger,d,x,5\n", bank.UnknownBook, "prime row 3: unknown book"),
+            ("book,date,counterparty,amount\ncash,d,x,0\n", bank.NonPositiveAmount, "prime row 2: amount must be"),
+        ],
+    )
+    def test_csv_refusal_names_its_row(self, text, error, message):
+        with pytest.raises(error) as err:
+            bank.PrimeBooks.from_csv(text)
+        assert str(err.value).startswith(message)
+        if error is bank.BankLedgerError:
+            assert type(err.value) is bank.BankLedgerError
+
 
 class TestJournalEntries:
     def test_balanced_required(self):

@@ -65,8 +65,7 @@ def grow(chain: Chain, n_blocks: int, txs_per_block: int = 2, start: int = 0) ->
     for _ in range(n_blocks):
         batch = [tx(counter + i) for i in range(txs_per_block)]
         counter += txs_per_block
-        block = chain.build_block(batch, wall_time=1000 + counter)
-        chain.approve_and_append(block, approve(block, VALIDATORS[:2]))
+        chain.seal(batch, 1000 + counter, *VALIDATORS[:2])
     return counter
 
 
@@ -294,6 +293,30 @@ class TestQuorumAppend:
             c.approve_and_append(b, [])
 
 
+class TestSeal:
+    def test_two_of_three_seal_appends_and_verifies(self):
+        c = Chain(quorum_config(m=2))
+        sealed = c.seal([tx(0), tx(1)], 7, *VALIDATORS[:2])
+        assert c.height == 1 and c.tip is sealed and c.verify().valid
+        assert sealed.header.wall_time == 7
+        assert sealed.approvals == tuple(approve(sealed, VALIDATORS[:2]))
+        assert c.tx_ids == {tx(0).tx_id, tx(1).tx_id}
+
+    def test_outside_signer_changes_nothing(self):
+        c = Chain(quorum_config(m=2))
+        grow(c, 1)
+        before = (c.height, c.tx_ids, c.tip)
+        with pytest.raises(UnknownValidator):
+            c.seal([tx(10)], 1, VALIDATORS[0], OUTSIDER)
+        assert (c.height, c.tx_ids, c.tip) == before
+
+    def test_pow_chain_refuses_a_seal(self):
+        c = Chain(ChainConfig(mode="pow", pow_target_bits=8))
+        with pytest.raises(WrongMode):
+            c.seal([tx(0)], 1, VALIDATORS[0])
+        assert c.height == 0 and c.tx_ids == frozenset()
+
+
 class TestPow:
     # Brute-forced from nonce 0 on this exact header; frozen.
     SAMPLE = BlockHeader(
@@ -449,7 +472,7 @@ class TestExportImport:
         grow_escapes(c)
         path = tmp_path / "chain.jsonl"
         c.export_jsonl(str(path))
-        imported = Chain.import_jsonl(str(path), c.config)
+        imported = Chain.from_jsonl(path.read_text(encoding="utf-8"), c.config)
         assert imported.verify().valid
         assert imported.to_jsonl() == c.to_jsonl()
         assert [b.block_id for b in imported.blocks] == [b.block_id for b in c.blocks]
@@ -471,7 +494,7 @@ class TestExportImport:
         path = tmp_path / "empty.jsonl"
         path.write_text("")
         with pytest.raises(EmptyChain):
-            Chain.import_jsonl(str(path), quorum_config())
+            Chain.from_jsonl(path.read_text(encoding="utf-8"), quorum_config())
 
     def test_tampered_block_id_rejected_with_line(self, tmp_path):
         c = Chain(quorum_config())
@@ -481,7 +504,7 @@ class TestExportImport:
         path = tmp_path / "bad.jsonl"
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(BadImport) as err:
-            Chain.import_jsonl(str(path), c.config)
+            Chain.from_jsonl(path.read_text(encoding="utf-8"), c.config)
         assert err.value.line == 2
 
     def test_nan_payload_line_names_its_line(self, monkeypatch):
@@ -508,7 +531,7 @@ class TestExportImport:
         path = tmp_path / "junk.jsonl"
         path.write_text('{"height": 0}\n')
         with pytest.raises(BadImport):
-            Chain.import_jsonl(str(path), quorum_config())
+            Chain.from_jsonl(path.read_text(encoding="utf-8"), quorum_config())
 
     @pytest.mark.parametrize(
         "field,value",

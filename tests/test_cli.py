@@ -281,6 +281,21 @@ class TestInputErrors:
         assert cli.main(["settle", "run", str(csv_path)]) == 1
         assert capsys.readouterr().out.startswith("bad trades file: trades row 2: trade day must be an int")
 
+    @pytest.mark.parametrize("mode, hub", [("ccp", "CCP"), ("consortium", "CONSORTIUM")])
+    def test_member_named_like_the_hub_exits_1(self, tmp_path, capsys, mode, hub):
+        # before: ccp ended in a CcpIsParty traceback; consortium exited 0
+        csv_path = tmp_path / "trades.csv"
+        csv_path.write_text(f"id,buyer,seller,asset,quantity,price,day\nT1,{hub},b,BOND,1,100,0\n")
+        assert cli.main(["settle", "run", str(csv_path), "--mode", mode]) == 1
+        assert capsys.readouterr().out == f"bad trades file: trade 'T1' names the {mode} hub '{hub}' as a party\n"
+
+    def test_trades_file_without_rows_exits_1(self, tmp_path, capsys):
+        # before: a SettlementError traceback from run_cycle
+        csv_path = tmp_path / "trades.csv"
+        csv_path.write_text("id,buyer,seller,asset,quantity,price,day\n")
+        assert cli.main(["settle", "run", str(csv_path)]) == 1
+        assert capsys.readouterr().out == "bad trades file: run_cycle needs at least one trade\n"
+
 
 class TestEscrowCommand:
     def test_demo_runs_and_reports(self, tmp_path, capsys):

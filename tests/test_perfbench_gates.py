@@ -6,9 +6,10 @@ bundled-scenario gate must pass too.
 A broken gate (for example tsa.replay disagreeing with the live ledger)
 then fails here, not first in a benchmark run. perfbench/ is only read.
 
-The tracer wraps settlement functions by name, so one traced round pins
-the counts in perfbench/op_counts.json: removing, renaming or aliasing a
-traced boundary fails here rather than in a `--trace 1` run.
+The tracer wraps functions by name, so one traced round of settlement and
+of treasury pins their counts: removing, renaming or aliasing a traced
+boundary, or signing, verifying or sealing once more per block or
+transaction, fails here rather than in a `--trace 1` run.
 """
 
 import importlib.util
@@ -55,16 +56,43 @@ def test_bundled_scenarios_pass_their_gate(workloads):
     assert workloads.bundled_gate(ROOT) == []
 
 
-def test_tracer_counts_one_settlement_round(workloads):
+def traced_counts(workloads, name):
+    """The tracer's call counts over one seed-1 round of workload `name`."""
     spec = importlib.util.spec_from_file_location("perfbench_tracer", ROOT / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    setup, run, _ = workloads.WORKLOADS["settlement"]
+    setup, run, _ = workloads.WORKLOADS[name]
     state = setup(1, 0)
     with tracer.Tracer() as tr:
         run(state)
-    assert {name: tr.counts[name] for name in ("settlement.settle", "settlement.novate", "settlement.match")} == {
+    return tr.counts
+
+
+# the boundaries every sealed block passes through
+SEAL_COUNTS = ("crypto.sign", "crypto.verify", "chain.build_block", "chain.approve_and_append")
+
+
+def test_tracer_counts_one_settlement_round(workloads):
+    counts = traced_counts(workloads, "settlement")
+    assert {name: counts[name] for name in ("settlement.settle", "settlement.novate", "settlement.match")} == {
         "settlement.settle": 485,
         "settlement.novate": 485,
         "settlement.match": 3000,
+    }
+    # one signature and one verify per transaction and per block approval
+    assert {name: counts[name] for name in SEAL_COUNTS} == {
+        "crypto.sign": 1959,
+        "crypto.verify": 1959,
+        "chain.build_block": 17,
+        "chain.approve_and_append": 17,
+    }
+
+
+def test_tracer_counts_one_treasury_round(workloads):
+    counts = traced_counts(workloads, "treasury")
+    assert {name: counts[name] for name in SEAL_COUNTS} == {
+        "crypto.sign": 3300,
+        "crypto.verify": 3300,
+        "chain.build_block": 100,
+        "chain.approve_and_append": 100,
     }

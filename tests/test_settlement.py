@@ -551,6 +551,45 @@ class TestRunCycle:
         with pytest.raises(st.SettlementError):
             st.run_cycle([t], st.CycleConfig())
 
+    @pytest.mark.parametrize("side", ["buyer", "seller"])
+    @pytest.mark.parametrize("mode, hub", [(st.MODE_CCP, "CCP"), (st.MODE_CONSORTIUM, "CONSORTIUM")])
+    def test_refuses_a_member_named_like_the_hub_before_any_block(self, mode, hub, side, monkeypatch):
+        # before: ccp raised CcpIsParty from novate after sealing day 0;
+        # consortium merged the member into the pool
+        parties = {"buyer": "a", "seller": "b", side: hub}
+        trades = [trade("T1", "a", "b"), trade("T2", parties["buyer"], parties["seller"], day=1)]
+        built = []
+        monkeypatch.setattr(st.Chain, "build_block", lambda *a, **k: built.append(a))
+        with pytest.raises(st.SettlementError) as err:
+            st.run_cycle(trades, st.CycleConfig(mode=mode))
+        assert type(err.value) is st.SettlementError
+        assert str(err.value) == f"trade 'T2' names the {mode} hub {hub!r} as a party"
+        assert built == []
+
+    def test_hub_names_are_members_in_modes_without_that_hub(self):
+        trades = [trade("T1", "CCP", "CONSORTIUM"), trade("T2", "CONSORTIUM", "b")]
+        assert st.run_cycle(trades, st.CycleConfig(mode=st.MODE_BILATERAL)).instruction_counts == {st.SETTLED: 2}
+        ccp = st.run_cycle(trades[1:], st.CycleConfig(mode=st.MODE_CCP))
+        assert set(ccp.final_holdings) == {"CCP", "CONSORTIUM", "b"}
+
+    def test_idle_days_between_trades_are_skipped(self):
+        # before: every day from 0 to 10**12 + 2 was walked, one row each
+        trades = [trade("T1", "a", "b", day=0), trade("T2", "b", "c", day=10**12)]
+        report = st.run_cycle(trades, st.CycleConfig(lag_days=2))
+        assert [row["day"] for row in report.days] == [0, 1, 2, 10**12, 10**12 + 1, 10**12 + 2]
+        assert report.exposure_series == [100, 100, 0, 100, 100, 0]
+        assert report.exposure_total == 400
+
+    def test_skipped_days_are_the_idle_rows(self):
+        # days with an open obligation are still walked; only a day with no
+        # trade and nothing open leaves the report
+        trades = [trade("T1", "a", "b", day=0), trade("T2", "b", "c", day=3), trade("T3", "a", "c", day=9)]
+        report = st.run_cycle(trades, st.CycleConfig(lag_days=1, initial_holdings={"a": {"cash": 100}}))
+        assert [row["day"] for row in report.days] == [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10]
+        report = st.run_cycle(trades, st.CycleConfig(lag_days=1))
+        assert [row["day"] for row in report.days] == [0, 1, 3, 4, 9, 10]
+        assert report.exposure_total == 300
+
     def test_config_validation(self):
         with pytest.raises(st.SettlementError):
             st.CycleConfig(lag_days=-1)

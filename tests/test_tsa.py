@@ -281,11 +281,7 @@ class TestReplay:
             tsa.TX_DAY_CLOSE,
             {"day": 0, "consolidated": 999, "balances": {"main": 999}},
         )
-        block = led.chain.build_block(led.pending_txs, wall_time=0)
-        approval = chain_mod.Approval(
-            led.operator.public, crypto.sign(led.operator.secret, block.block_id)
-        )
-        led.chain.approve_and_append(block, [approval])
+        led.chain.seal(led.pending_txs, 0, led.operator)
         assert led.chain.verify().valid
         with pytest.raises(tsa.TsaError, match="replay mismatch"):
             tsa.replay(led.chain.blocks, led.chain.config)
@@ -334,11 +330,7 @@ def seal(led, balances, day=0):
         tsa.TX_DAY_CLOSE,
         {"day": day, "consolidated": sum(balances.values()), "balances": balances},
     )
-    block = led.chain.build_block(led.pending_txs, wall_time=day)
-    approval = chain_mod.Approval(
-        led.operator.public, crypto.sign(led.operator.secret, block.block_id)
-    )
-    led.chain.approve_and_append(block, [approval])
+    led.chain.seal(led.pending_txs, day, led.operator)
     led.pending_txs = []
     assert led.chain.verify().valid
 
