@@ -3,8 +3,7 @@ subledger reconciliation, and financial-instrument helpers.
 
 Seven books of prime entry feed the general ledger. The day books and the
 journal sit outside the double entry system (their day totals are posted
-in summary); the cash book and petty cash book are themselves part of it,
-so their entries carry a double-entry-eligible flag.
+in summary); the cash book and petty cash book are themselves part of it.
 
 All money amounts are integers in minor units. GL balances are signed,
 debit-positive, so a trial balance over balanced postings sums to zero.
@@ -12,11 +11,9 @@ debit-positive, so a trial balance over balanced postings sums to zero.
 
 from __future__ import annotations
 
-import csv
-import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 from .crypto import is_money
 
@@ -37,10 +34,6 @@ BOOKS = (
     PETTY_CASH,
     JOURNAL,
 )
-
-# The cash and petty cash books are part of the double entry system; the
-# day books and the journal are not.
-DOUBLE_ENTRY_BOOKS = frozenset({CASH, PETTY_CASH})
 
 DEBIT = "debit"
 CREDIT = "credit"
@@ -83,10 +76,6 @@ class FullyDepreciated(BankLedgerError):
     pass
 
 
-class DuplicateId(BankLedgerError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Prime entry
 
@@ -104,10 +93,6 @@ class PrimeEntry:
             raise UnknownBook(f"unknown book {self.book!r}")
         if not is_money(self.amount):
             raise NonPositiveAmount(f"amount must be a positive integer, got {self.amount!r}")
-
-    @property
-    def double_entry_eligible(self) -> bool:
-        return self.book in DOUBLE_ENTRY_BOOKS
 
 
 class PrimeBooks:
@@ -133,26 +118,6 @@ class PrimeBooks:
 
     def __len__(self) -> int:
         return sum(len(rows) for rows in self._books.values())
-
-    @classmethod
-    def from_csv(cls, text: str) -> "PrimeBooks":
-        """Columns: book,date,counterparty,amount[,memo]."""
-        books = cls()
-        for n, row in enumerate(csv.DictReader(io.StringIO(text)), 2):
-            try:
-                entry = PrimeEntry(
-                    book=row["book"].strip(),
-                    date=row["date"].strip(),
-                    counterparty=row["counterparty"].strip(),
-                    amount=int(row["amount"]),
-                    memo=(row.get("memo") or "").strip(),
-                )
-            except BankLedgerError as exc:  # the entry's own refusal keeps its class
-                raise type(exc)(f"prime row {n}: {exc}") from None
-            except (KeyError, TypeError, ValueError, AttributeError) as exc:
-                raise BankLedgerError(f"prime row {n}: {exc}") from None
-            books.post(entry)
-        return books
 
 
 # ---------------------------------------------------------------------------
@@ -197,18 +162,6 @@ def simple_entry(date: str, debit_account: str, credit_account: str, amount: int
             EntryLine(credit_account, CREDIT, amount),
         ),
         memo=memo,
-    )
-
-
-def reverse_entry(entry: JournalEntry) -> JournalEntry:
-    """Mirror of an entry: corrections are reversal plus repost, never edits."""
-    return JournalEntry(
-        date=entry.date,
-        lines=tuple(
-            EntryLine(l.account, CREDIT if l.side == DEBIT else DEBIT, l.amount)
-            for l in entry.lines
-        ),
-        memo=f"reversal: {entry.memo}" if entry.memo else "reversal",
     )
 
 
@@ -458,52 +411,3 @@ def depreciate(asset: FixedAsset) -> tuple[int, JournalEntry | None]:
         memo=f"straight-line period {asset.periods_elapsed + 1}/{asset.life_periods}",
     )
     return amount, entry
-
-
-# ---------------------------------------------------------------------------
-# Capital records
-
-
-INSTRUMENT_KINDS = ("notes_payable", "bonds_payable", "common_stock", "preferred_stock")
-
-
-@dataclass(frozen=True)
-class CapitalInstrument:
-    id: str
-    kind: str
-    holder: str
-    maturity: str
-    rate_bps: int  # interest/dividend rate in basis points
-    original_balance: int
-    current_balance: int
-
-    def __post_init__(self):
-        if self.kind not in INSTRUMENT_KINDS:
-            raise BankLedgerError(f"unknown instrument kind {self.kind!r}")
-
-
-class CapitalRegistry:
-    """Per-instrument registry behind the capital GL accounts.
-
-    Bookkeeping only: no pricing, no coupon scheduling.
-    """
-
-    def __init__(self):
-        self._instruments: dict[str, CapitalInstrument] = {}
-
-    def register(self, instrument: CapitalInstrument) -> CapitalInstrument:
-        if instrument.id in self._instruments:
-            raise DuplicateId(f"instrument {instrument.id!r} already registered")
-        self._instruments[instrument.id] = instrument
-        return instrument
-
-    def get(self, instrument_id: str) -> CapitalInstrument:
-        if instrument_id not in self._instruments:
-            raise BankLedgerError(f"unknown instrument {instrument_id!r}")
-        return self._instruments[instrument_id]
-
-    def list(self) -> list[CapitalInstrument]:
-        return [self._instruments[k] for k in sorted(self._instruments)]
-
-    def gl_account_for(self, instrument_id: str) -> str:
-        return self.get(instrument_id).kind

@@ -144,20 +144,24 @@ def merkle_prove(leaves: Sequence[bytes], index: int) -> MerkleProof:
     return MerkleProof(leaf_index=index, path=tuple(path))
 
 
-def merkle_verify(root: bytes, leaf: bytes, proof: MerkleProof) -> bool:
-    """Check an inclusion proof. Returns a bool, never raises on bad paths."""
+def merkle_verify(root: bytes, leaf: bytes, proof: MerkleProof, size: int) -> bool:
+    """Check an inclusion proof in a tree of size leaves, a size the caller
+    knows (a header's tx_count), not one the proof claims. The path needs
+    one step per level, each sibling on the side the index bits name (RFC
+    6962 section 2.1.1). Returns a bool; a malformed proof is False."""
     try:
+        index, path = proof.leaf_index, tuple(proof.path)
+        if not 0 <= index < size or len(path) != (size - 1).bit_length():
+            return False
         acc = require_hash32(leaf, "leaf")
-        for sibling, side in proof.path:
+        for sibling, side in path:
             require_hash32(sibling, "sibling")
-            if side == LEFT:
-                acc = sha256d(sibling + acc)
-            elif side == RIGHT:
-                acc = sha256d(acc + sibling)
-            else:
+            if side != (LEFT if index & 1 else RIGHT):
                 return False
+            acc = sha256d(sibling + acc) if side == LEFT else sha256d(acc + sibling)
+            index >>= 1
         return acc == root
-    except CryptoError:
+    except (AttributeError, CryptoError, TypeError, ValueError):
         return False
 
 
@@ -203,8 +207,9 @@ def verify(public: bytes, message: bytes, signature: bytes) -> bool:
         return False
 
 
-# Below this many signatures a batch is verified inline: one fork, pipe and
-# reap in a 50-70 MB process costs about 5 ms, some 25-30 verifies.
+# Below this many signatures a batch is verified inline. One fork, pipe and
+# reap costs 1-7 ms in a 30-45 MB process on 2-vCPU virtual machines, the
+# price of 5-20 verifies there, a small part of a forked share of 128 or more.
 PARALLEL_MIN = 256
 
 

@@ -77,10 +77,6 @@ class ConflictingSignature(EscrowError):
     pass
 
 
-class NotReady(EscrowError):
-    pass
-
-
 def resolve_dispositions(
     events: Sequence[Sequence[str]], amount: int, fee: int
 ) -> dict | None:
@@ -258,10 +254,3 @@ def sign_disposition(
         balances[pk] = balances.get(pk, 0) + amount
     return escrow
 
-
-def finalize(balances: Balances, escrow: Escrow) -> dict:
-    """The recorded outcome, or NotReady while open: votes resolve the
-    escrow as they arrive."""
-    if escrow.status == OPEN:
-        raise NotReady("no disposition has two distinct backers")
-    return dict(escrow.outcome)

@@ -358,7 +358,7 @@ class SettlementInstruction:
     from_member delivers `quantity` of `asset` to to_member. In dvp mode
     to_member pays `cash` back atomically. In fop mode cash must be 0; the
     separately arranged payment is carried in unpaid_cash and reported as
-    an open obligation until pay_fop applies it.
+    an open obligation.
     """
 
     id: str
@@ -371,7 +371,6 @@ class SettlementInstruction:
     trade_day: int = 0
     due_day: int = 0
     unpaid_cash: int = 0
-    cash_paid: bool = False
     status: str = PENDING
     reason: str | None = None
 
@@ -419,19 +418,6 @@ def settle_fop(holdings: Holdings, instr: SettlementInstruction) -> SettlementRe
     reason = _exchange(holdings, instr.from_member, instr.to_member, instr.asset, instr.quantity, 0)
     instr.status, instr.reason = FAILED if reason else SETTLED, reason
     return SettlementResult(instr.id, instr.status, reason)
-
-
-def pay_fop(holdings: Holdings, instr: SettlementInstruction) -> SettlementResult:
-    """Apply the separately arranged cash leg of a fop delivery."""
-    if instr.mode != FOP:
-        raise SettlementError("pay_fop requires a fop instruction")
-    if instr.cash_paid or instr.unpaid_cash == 0:
-        return SettlementResult(instr.id, SETTLED)
-    reason = _exchange(
-        holdings, instr.from_member, instr.to_member, instr.asset, 0, instr.unpaid_cash
-    )
-    instr.cash_paid = reason is None
-    return SettlementResult(instr.id, FAILED if reason else SETTLED, reason)
 
 
 @dataclass
@@ -779,7 +765,7 @@ class _Cycle:
             unpaid_deliveries=[
                 {"id": i.id, "payer": i.to_member, "payee": i.from_member, "amount": i.unpaid_cash}
                 for i in self.instructions
-                if i.mode == FOP and i.status == SETTLED and not i.cash_paid and i.unpaid_cash
+                if i.mode == FOP and i.status == SETTLED and i.unpaid_cash
             ],
             final_holdings={
                 member: {"cash": entry["cash"], "assets": dict(sorted(entry["assets"].items()))}

@@ -55,56 +55,10 @@ class TestPrimeBooks:
             with pytest.raises(bank.BankLedgerError):
                 bank.PrimeEntry("cash", "2025-01-01", "x", bad)
 
-    def test_double_entry_flag(self):
-        # only the cash books sit inside the double entry system
-        assert bank.PrimeEntry("cash", "d", "x", 1).double_entry_eligible
-        assert bank.PrimeEntry("petty_cash", "d", "x", 1).double_entry_eligible
-        for book in ("sales_day", "purchase_day", "sales_returns", "purchase_returns", "journal"):
-            assert not bank.PrimeEntry(book, "d", "x", 1).double_entry_eligible
-
     def test_dates_sorted_unique(self):
         books = sample_books()
         assert books.dates() == ["2025-03-01", "2025-03-02"]
         assert len(books) == 9
-
-    def test_csv_roundtrip(self):
-        text = (
-            "book,date,counterparty,amount,memo\n"
-            "sales_day,2025-03-01,acme,100,\n"
-            "cash,2025-03-02,acme,100,invoice settled\n"
-        )
-        books = bank.PrimeBooks.from_csv(text)
-        assert len(books) == 2
-        [entry] = books.entries("cash")
-        assert entry.counterparty == "acme"
-        assert entry.amount == 100
-        assert entry.memo == "invoice settled"
-
-    def test_csv_bad_row_raises(self):
-        text = "book,date,counterparty,amount\nsales_day,2025-01-01,x,-4\n"
-        with pytest.raises(bank.NonPositiveAmount):
-            bank.PrimeBooks.from_csv(text)
-
-    @pytest.mark.parametrize(
-        "text,error,message",
-        [
-            # before: KeyError, AttributeError, TypeError and ValueError escaped bare
-            ("book,date,amount\ncash,d,5\ncash,d,6\n", bank.BankLedgerError, "prime row 2: 'counterparty'"),
-            ("book,date,counterparty,amount\ncash,d,x,5\ncash,d\n", bank.BankLedgerError, "prime row 3: "),
-            ("book,date,counterparty,amount\ncash,d,x,five\n", bank.BankLedgerError, "prime row 2: invalid literal"),
-            ("book,date,counterparty,amount\ncash,d,x,1.5\n", bank.BankLedgerError, "prime row 2: invalid literal"),
-            # before: the entry's own refusal carried no row
-            ("book,date,counterparty,amount\ncash,d,x,5\nledger,d,x,5\n", bank.UnknownBook, "prime row 3: unknown book"),
-            ("book,date,counterparty,amount\ncash,d,x,0\n", bank.NonPositiveAmount, "prime row 2: amount must be"),
-        ],
-    )
-    def test_csv_refusal_names_its_row(self, text, error, message):
-        with pytest.raises(error) as err:
-            bank.PrimeBooks.from_csv(text)
-        assert str(err.value).startswith(message)
-        if error is bank.BankLedgerError:
-            assert type(err.value) is bank.BankLedgerError
-
 
 class TestJournalEntries:
     def test_balanced_required(self):
@@ -151,15 +105,6 @@ class TestJournalEntries:
             ),
         )
         assert len(entry.lines) == 3
-
-    def test_reverse_entry_mirrors(self):
-        entry = bank.simple_entry("d", "purchases", "payables_control", 40, memo="oops")
-        rev = bank.reverse_entry(entry)
-        ledger = bank.GeneralLedger()
-        ledger.post(entry)
-        ledger.post(rev)
-        assert all(v == 0 for v in ledger.trial_balance().values())
-        assert rev.memo == "reversal: oops"
 
     def test_unknown_account_rejected_before_any_mutation(self):
         ledger = bank.GeneralLedger()
@@ -393,46 +338,3 @@ class TestDepreciation:
             "depreciation_expense": bank.DEBIT,
             "accumulated_depreciation": bank.CREDIT,
         }
-
-
-class TestCapitalRegistry:
-    def make(self, iid="N-1", kind="notes_payable"):
-        return bank.CapitalInstrument(
-            id=iid,
-            kind=kind,
-            holder="First Street Bank",
-            maturity="2030-06-30",
-            rate_bps=425,
-            original_balance=250_000,
-            current_balance=240_000,
-        )
-
-    def test_register_and_lookup(self):
-        reg = bank.CapitalRegistry()
-        reg.register(self.make())
-        assert reg.get("N-1").rate_bps == 425
-        assert reg.gl_account_for("N-1") == "notes_payable"
-
-    def test_every_kind_maps_to_a_chart_account(self):
-        for kind in bank.INSTRUMENT_KINDS:
-            assert kind in bank.CHART
-
-    def test_duplicate_rejected(self):
-        reg = bank.CapitalRegistry()
-        reg.register(self.make())
-        with pytest.raises(bank.DuplicateId):
-            reg.register(self.make())
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(bank.BankLedgerError):
-            self.make(kind="iou_scribbles")
-
-    def test_listing_sorted(self):
-        reg = bank.CapitalRegistry()
-        reg.register(self.make("B-2", "bonds_payable"))
-        reg.register(self.make("A-1", "common_stock"))
-        assert [i.id for i in reg.list()] == ["A-1", "B-2"]
-
-    def test_unknown_instrument(self):
-        with pytest.raises(bank.BankLedgerError):
-            bank.CapitalRegistry().get("ghost")

@@ -157,19 +157,19 @@ class TestMerkle:
             root = merkle_root(leaves)
             for i in range(n):
                 proof = merkle_prove(leaves, i)
-                assert merkle_verify(root, leaves[i], proof)
+                assert merkle_verify(root, leaves[i], proof, n)
                 assert len(proof.path) == (0 if n == 1 else math.ceil(math.log2(n)))
 
     def test_tampered_leaf_fails(self):
         leaves = _leaves(5)
         root = merkle_root(leaves)
         proof = merkle_prove(leaves, 2)
-        assert not merkle_verify(root, sha256d(b"tampered"), proof)
+        assert not merkle_verify(root, sha256d(b"tampered"), proof, 5)
 
     def test_wrong_index_proof_fails(self):
         leaves = _leaves(6)
         root = merkle_root(leaves)
-        assert not merkle_verify(root, leaves[0], merkle_prove(leaves, 1))
+        assert not merkle_verify(root, leaves[0], merkle_prove(leaves, 1), 6)
 
     def test_bad_index(self):
         with pytest.raises(BadIndex):
@@ -181,9 +181,59 @@ class TestMerkle:
         leaves = _leaves(2)
         root = merkle_root(leaves)
         bad_side = MerkleProof(0, ((leaves[1], "sideways"),))
-        assert merkle_verify(root, leaves[0], bad_side) is False
+        assert merkle_verify(root, leaves[0], bad_side, 2) is False
         bad_sibling = MerkleProof(0, ((b"short", "right"),))
-        assert merkle_verify(root, leaves[0], bad_sibling) is False
+        assert merkle_verify(root, leaves[0], bad_sibling, 2) is False
+
+    def test_interior_node_does_not_prove_as_a_leaf(self):
+        leaves = _leaves(4)
+        root = merkle_root(leaves)
+        pair = sha256d(leaves[0] + leaves[1])
+        shortened = MerkleProof(0, merkle_prove(leaves, 0).path[1:])
+        assert merkle_verify(root, pair, shortened, 4) is False
+
+    def test_relabelled_index_fails(self):
+        leaves = _leaves(4)
+        root = merkle_root(leaves)
+        proof = merkle_prove(leaves, 0)
+        assert merkle_verify(root, leaves[0], MerkleProof(3, proof.path), 4) is False
+
+    def test_malformed_proof_returns_false(self):
+        leaves = _leaves(4)
+        root = merkle_root(leaves)
+        path = merkle_prove(leaves, 0).path
+        for bad in (
+            MerkleProof(0, ((leaves[1],),) + path[1:]),  # a step that is not a pair
+            MerkleProof(0, None),
+            MerkleProof(0, (None, None)),
+            MerkleProof(None, path),
+            MerkleProof("0", path),
+            MerkleProof(True, path),
+            None,
+        ):
+            assert merkle_verify(root, leaves[0], bad, 4) is False
+
+    def test_size_is_the_callers(self):
+        leaves = _leaves(4)
+        root = merkle_root(leaves)
+        proof = merkle_prove(leaves, 0)
+        for size in (1, 2, 5, 0, -4, None, "4", True, 4.0):
+            assert merkle_verify(root, leaves[0], proof, size) is False
+        # [a, b, c, c] has the root of [a, b, c]: index 3 lies past a tree of 3
+        a, b, c = _leaves(3)
+        padded = merkle_prove([a, b, c, c], 3)
+        assert merkle_verify(merkle_root([a, b, c]), c, padded, 3) is False
+        assert merkle_verify(merkle_root([a, b, c]), c, merkle_prove([a, b, c], 2), 3)
+
+    def test_side_must_match_the_index_bits(self):
+        leaves = _leaves(5)
+        root = merkle_root(leaves)
+        proof = merkle_prove(leaves, 4)
+        # the padded sibling of the odd last node sits on the right
+        assert [side for _, side in proof.path] == [crypto.RIGHT, crypto.RIGHT, crypto.LEFT]
+        flipped = ((proof.path[0][0], crypto.LEFT),) + proof.path[1:]
+        assert merkle_verify(root, leaves[4], MerkleProof(4, flipped), 5) is False
+        assert merkle_verify(root, leaves[4], proof, 5)
 
 
 class TestSignatures:

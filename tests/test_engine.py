@@ -348,7 +348,6 @@ class TestAssertions:
             "InvalidProbability",
             "NonPositiveAmount",
             "NotParty",
-            "NotReady",
             "OutOfSteps",
             "Overdraft",
             "SecondMain",

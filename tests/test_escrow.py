@@ -233,20 +233,14 @@ class TestResolution:
         assert escrow.outcome["payouts"] == {"arbiter": 100}
         assert SELLER_KP.public not in balances
 
-    def test_finalize_not_ready(self):
+    def test_open_until_a_disposition_has_two_backers(self):
         balances, escrow = fresh()
-        with pytest.raises(es.NotReady):
-            es.finalize(balances, escrow)
+        assert escrow.status == es.OPEN and escrow.outcome is None
         vote(balances, escrow, "buyer", es.TO_SELLER)
-        with pytest.raises(es.NotReady):
-            es.finalize(balances, escrow)
-
-    def test_finalize_reports_outcome_after_resolution(self):
-        balances, escrow = fresh()
-        vote(balances, escrow, "buyer", es.TO_SELLER)
+        assert escrow.status == es.OPEN and escrow.outcome is None
         vote(balances, escrow, "seller", es.TO_SELLER)
-        outcome = es.finalize(balances, escrow)
-        assert outcome["status"] == es.RELEASED
+        assert escrow.status == es.RELEASED
+        assert escrow.outcome["status"] == es.RELEASED
 
 
 def predict(order, assignment, amount, fee):

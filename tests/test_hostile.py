@@ -7,7 +7,6 @@ escape, and it must say where the input went wrong:
 - a scenario line: an EngineError whose .line is set;
 - a chain file: BadImport or EmptyChain;
 - a trades CSV: a SettlementError naming its row;
-- a prime-books CSV: a BankLedgerError naming its row;
 - a policy document: an IntegrityError naming section[index].
 """
 
@@ -17,7 +16,7 @@ import re
 from importlib import resources
 
 from ledgerstack import chain as chain_mod
-from ledgerstack import bank_ledger, engine, integrity, settlement, tsa
+from ledgerstack import engine, integrity, settlement, tsa
 
 # values a sloppy or hostile writer might put anywhere
 JUNK = [
@@ -164,34 +163,6 @@ def test_trades_csv_mutations_escape_only_naming_their_row():
             settlement.net_positions(settlement.trades_from_csv(text))
         except settlement.SettlementError as exc:
             if not str(exc).startswith("trades row "):
-                escapes.setdefault(repr(exc), text)
-        except Exception as exc:
-            escapes.setdefault(f"{type(exc).__name__}: {exc}", text)
-    assert not escapes, list(escapes.items())[:3]
-
-
-PRIME_CSV = """book,date,counterparty,amount,memo
-sales_day,2025-03-01,acme,100,
-purchase_day,2025-03-01,mill,90,
-sales_returns,2025-03-02,acme,50,damaged goods
-cash,2025-03-02,acme,100,invoice settled
-petty_cash,2025-03-02,office,20,stamps"""
-
-
-def test_prime_books_csv_mutations_escape_only_naming_their_row():
-    rows = [line.split(",") for line in PRIME_CSV.split("\n")]
-    cells = ["", "x", "0", "-3", "1.5", " 7 ", "cash", "journal", "9" * 20, "1e3", '"', "a,b"]
-    rng = random.Random(1105)
-    escapes = {}
-    for _ in range(600):
-        text = mutate_csv(rng, rows, cells)
-        try:
-            books = bank_ledger.PrimeBooks.from_csv(text)
-            ledger = bank_ledger.GeneralLedger()
-            for date in books.dates():
-                bank_ledger.summarize_and_post(books, ledger, date)
-        except bank_ledger.BankLedgerError as exc:
-            if not str(exc).startswith("prime row "):
                 escapes.setdefault(repr(exc), text)
         except Exception as exc:
             escapes.setdefault(f"{type(exc).__name__}: {exc}", text)

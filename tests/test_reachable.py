@@ -1,0 +1,101 @@
+"""Reachability gate: src/ holds only what an entry point reaches.
+
+The entry points are the CLI, the scenario engine and the benchmark, so
+the code under src/ledgerstack and perfbench is scanned with ast. A public
+top-level function, class or method must be named somewhere in that code
+outside its own definition: as an ast.Name, an ast.Attribute or an import.
+A name inside a string does not count, and neither does a test. The few
+names kept for tests and for later work are listed in ALLOWED, each with
+its reason.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SCANNED = (ROOT / "src" / "ledgerstack", ROOT / "perfbench")
+
+ALLOWED = {
+    "OrderBook.depth": "read-only accessor that tests use to observe the book",
+    "PolicyState.get_item": "read-only accessor that tests use to observe policy state",
+    "PolicyState.get_subject": "read-only accessor that tests use to observe policy state",
+    "PolicyState.triples": "read-only accessor that tests use to observe the certified triples",
+    "ContractState.instance_code": "read-only accessor that tests use to observe a deployment",
+    "ContractState.is_dead": "read-only accessor that tests use to observe a self-destruct",
+    "ContractState.storage_snapshot": "read-only accessor that tests use to observe storage",
+    "Chain.mine_and_append": "PoW mode, one of the two consensus modes of the paper",
+    "merkle_prove": "inclusion proofs: the per-transaction evidence a third party can check",
+    "merkle_verify": "inclusion proofs: the per-transaction evidence a third party can check",
+    "PolicyState.promote_udi": "the Clark-Wilson UDI-to-CDI step that the acceptance criterion runs",
+}
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, bare name, first line, last line) of each public
+    top-level function and class, and of each public method of such a class."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            yield node.name, node.name, node.lineno, node.end_lineno
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name, item.lineno, item.end_lineno
+
+
+def _references(tree: ast.Module):
+    """(name, line) of each ast.Name, ast.Attribute and imported name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield alias.name.rsplit(".", 1)[-1], node.lineno
+
+
+def unreached(roots=SCANNED) -> dict[str, str]:
+    """Public definitions named nowhere outside their own body, by
+    qualified name, each with the file and line that defines it."""
+    trees = {
+        path: (path.relative_to(root), ast.parse(path.read_text(), str(path)))
+        for root in roots
+        for path in sorted(root.rglob("*.py"))
+    }
+    named: dict[str, list[tuple[Path, int]]] = {}
+    for path, (_, tree) in trees.items():
+        for name, line in _references(tree):
+            named.setdefault(name, []).append((path, line))
+    found = {}
+    for path, (shown, tree) in trees.items():
+        for qualified, name, first, last in _definitions(tree):
+            if all(where == path and first <= line <= last for where, line in named.get(name, ())):
+                found[qualified] = f"{shown}:{first}"
+    return found
+
+
+def test_every_public_definition_is_reached_or_allowed():
+    extra = {name: where for name, where in unreached().items() if name not in ALLOWED}
+    assert not extra, f"named only by tests (delete, wire in, or allow with a reason): {extra}"
+
+
+def test_every_allowed_name_is_still_defined_and_unreached():
+    # a name that an entry point now reaches, or that is gone, leaves the list
+    assert sorted(unreached()) == sorted(ALLOWED)
+
+
+def test_the_scan_counts_names_not_strings(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "def used():\n    return used\n\n"
+        "def called():\n    pass\n\n"
+        "class Box:\n    def size(self):\n        return 'used'\n\n"
+        "def caller():\n    called()\n    return 'size'\n"
+    )
+    (tmp_path / "n.py").write_text("from m import caller\n")
+    assert unreached([tmp_path]) == {
+        "used": "m.py:1",
+        "Box": "m.py:7",
+        "Box.size": "m.py:8",
+    }

@@ -356,22 +356,7 @@ class TestInstructionsAndSettlement:
         assert result.status == st.SETTLED
         assert h["buyer"]["assets"]["BOND"] == 10
         assert h["buyer"]["cash"] == 1000  # untouched
-        assert not instr.cash_paid
-
-    def test_pay_fop_applies_cash_leg_later(self):
-        h = self.holdings()
-        instr = self.instr(cash=0, mode=st.FOP, unpaid_cash=1000)
-        st.settle_fop(h, instr)
-        result = st.pay_fop(h, instr)
-        assert result.status == st.SETTLED and instr.cash_paid
-        assert h["seller"]["cash"] == 1000 and h["buyer"]["cash"] == 0
-
-    def test_pay_fop_insufficient_cash(self):
-        h = self.holdings()
-        instr = self.instr(cash=0, mode=st.FOP, unpaid_cash=2000)
-        st.settle_fop(h, instr)
-        result = st.pay_fop(h, instr)
-        assert result.status == st.FAILED and not instr.cash_paid
+        assert h["seller"]["cash"] == 0  # the cash leg is arranged apart
 
     def test_cash_transfer_moves_cash_only_or_nothing(self):
         h = self.holdings()
