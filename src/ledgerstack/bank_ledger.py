@@ -40,7 +40,6 @@ CREDIT = "credit"
 
 ASSET = "asset"
 LIABILITY = "liability"
-EQUITY = "equity"
 INCOME = "income"
 EXPENSE = "expense"
 
@@ -173,8 +172,8 @@ class GlAccount:
     balance: int = 0  # signed, debit positive
 
 
-# Chart of accounts used by the shipped posting map and the instrument
-# helpers. control_for marks the two control accounts.
+# Chart of accounts that the posting map, ecl_provision and depreciate post
+# to. control_for marks the two control accounts.
 CHART: Mapping[str, tuple[str, str]] = {
     "receivables_control": (ASSET, RECEIVABLES),
     "payables_control": (LIABILITY, PAYABLES),
@@ -190,10 +189,6 @@ CHART: Mapping[str, tuple[str, str]] = {
     "loss_allowance": (ASSET, "none"),  # contra-asset, runs a credit balance
     "depreciation_expense": (EXPENSE, "none"),
     "accumulated_depreciation": (ASSET, "none"),  # contra-asset
-    "notes_payable": (LIABILITY, "none"),
-    "bonds_payable": (LIABILITY, "none"),
-    "common_stock": (EQUITY, "none"),
-    "preferred_stock": (EQUITY, "none"),
 }
 
 # Day-total posting rule per book: (debit account, credit account,

@@ -23,14 +23,17 @@ validate_block is the one place a block is checked: build_block,
 approve_and_append and append_mined raise for the reason code it returns,
 and verify_chain reports that code with the height. Transaction.verify
 and Approval.verify (per block id) memoize on the object the exact content
-Ed25519 accepted, so a memo hit means the same object with the same bytes,
-already verified in this process. A copy (replace, deepcopy, pickle, an
-import) or a mutated field is verified again. Create and import check each
-tx_id, and the first verify of that transaction reuses the check instead of
-hashing again. verify_chain first checks, in one crypto.verify_many batch,
-every transaction signature not yet accepted, so a cold chain is verified on
-every CPU the process may run on, by children forked for that batch alone;
-its walk then meets only memos.
+Ed25519 accepted. A header memoizes its block_id, and the tx ids last
+checked against its Merkle root with the root they hash to; build_block
+sets that memo from the root it computes. So a memo hit means the same
+object with the same bytes, already checked in this process. A copy
+(replace, deepcopy, pickle, an import) or a mutated field is verified and
+hashed again. Create and import check each tx_id, and the first verify of
+that transaction reuses the check instead of hashing again. verify_chain
+first checks, in one crypto.verify_many batch, every transaction signature
+not yet accepted, so a cold chain is verified on every CPU the process may
+run on, by children forked for that batch alone; its walk then meets only
+memos.
 """
 
 from __future__ import annotations
@@ -126,8 +129,8 @@ class BadImport(ChainError):
 
 
 def _without_memo(self) -> dict:
-    # copy, deepcopy and pickle drop the memo: a copy is verified again.
-    return {k: v for k, v in self.__dict__.items() if k != "_verified"}
+    # copy, deepcopy and pickle drop every memo: a copy is checked again.
+    return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
 
 
 @dataclass(frozen=True)
@@ -221,6 +224,10 @@ class BlockHeader:
     # (fields, block_id) as last hashed: each header hashes once, and again
     # only if a field was mutated in place.
     _id_memo: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    # (tx ids, their merkle root) as last hashed, the same way.
+    _root_memo: tuple | None = field(default=None, init=False, compare=False, repr=False)
+
+    __getstate__ = _without_memo
 
     @property
     def block_id(self) -> bytes:
@@ -231,6 +238,12 @@ class BlockHeader:
         if self._id_memo is None or self._id_memo[0] != fields:
             object.__setattr__(self, "_id_memo", (fields, header_id(self)))
         return self._id_memo[1]
+
+    def root_matches(self, ids: tuple[bytes, ...]) -> bool:
+        """Whether merkle_root is the root of these tx ids."""
+        if self._root_memo is None or self._root_memo[0] != ids:
+            object.__setattr__(self, "_root_memo", (ids, crypto.merkle_root(ids) if ids else ZERO32))
+        return self.merkle_root == self._root_memo[1]
 
 
 def serialize_header(header: BlockHeader) -> bytes:
@@ -375,8 +388,8 @@ def validate_block(
     verified = [tx.verify() for tx in txs]
     # A verified transaction hashes to its stated id; only a failed one
     # needs its id recomputed from its canonical bytes.
-    ids = [tx.tx_id if ok else sha256d(tx.signing_bytes()) for tx, ok in zip(txs, verified)]
-    if config is not None and h.merkle_root != (crypto.merkle_root(ids) if ids else ZERO32):
+    ids = tuple(tx.tx_id if ok else sha256d(tx.signing_bytes()) for tx, ok in zip(txs, verified))
+    if config is not None and not h.root_matches(ids):
         return R_MERKLE
     in_block: set[bytes] = set()
     for tx, ok, rid in zip(txs, verified, ids):
@@ -434,14 +447,16 @@ def build_block(
     """
     if not txs:
         raise ChainError("a block must carry at least one transaction")
+    ids = tuple(tx.tx_id for tx in txs)
     header = BlockHeader(
         height=height,
         prev_hash=crypto.require_hash32(prev_block_id, "prev_block_id"),
-        merkle_root=crypto.merkle_root([tx.tx_id for tx in txs]),
+        merkle_root=crypto.merkle_root(ids),
         wall_time=wall_time,
         tx_count=len(txs),
         nonce=0,
     )
+    object.__setattr__(header, "_root_memo", (ids, header.merkle_root))
     block = Block(header=header, txs=tuple(txs))
     _raise_for(validate_block(block, prev_block_id, height, known_tx_ids, None), block, config)
     return block
@@ -480,19 +495,10 @@ class Chain:
         return frozenset(self._tx_ids)
 
     def build_block(self, txs: Sequence[Transaction], wall_time: int) -> Block:
-        return build_block(
-            txs,
-            self.tip.block_id,
-            self.height + 1,
-            wall_time,
-            self.config,
-            known_tx_ids=self._tx_ids,
-        )
+        return build_block(txs, self.tip.block_id, self.height + 1, wall_time, self.config, self._tx_ids)
 
     def _append(self, block: Block) -> Block:
-        reason = validate_block(
-            block, self.tip.block_id, self.height + 1, self._tx_ids, self.config
-        )
+        reason = validate_block(block, self.tip.block_id, self.height + 1, self._tx_ids, self.config)
         _raise_for(reason, block, self.config)
         self.blocks.append(block)
         self._tx_ids.update(tx.tx_id for tx in block.txs)
@@ -559,9 +565,10 @@ def verify_chain(blocks: Sequence[Block], config: ChainConfig) -> VerifyResult:
     """Walk the chain from genesis; report the lowest failing height.
 
     Hash avalanche makes any single tampered byte surface at or below the
-    height where it happened: the merkle root is recomputed from canonical
-    tx bytes, linkage from recomputed block ids, and consensus evidence
-    (approvals or work) from the recomputed block_id.
+    height where it happened: the merkle root is checked against the tx ids
+    (recomputed from canonical bytes for any transaction that fails), linkage
+    against recomputed block ids, and consensus evidence (approvals or work)
+    against the recomputed block_id.
     """
     if not blocks:
         return VerifyResult(False, 0, R_BAD_GENESIS)

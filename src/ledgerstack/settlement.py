@@ -122,72 +122,69 @@ class Trade:
         return self.quantity * self.price
 
 
-@dataclass(order=True)
-class _Resting:
-    priority: tuple[int, int]  # (price, seq) for asks, (-price, seq) for bids
-    order: Order = field(compare=False)
-    remaining: int = field(compare=False)
-
-
 class OrderBook:
     """Price-time priority book, one instance covering all assets.
 
-    Each (asset, side) queue is kept sorted best first: lowest ask or
-    highest bid, then oldest.
+    Each (asset, side) queue holds rows (key, seq, member, remaining) sorted
+    best first: key is the ask price or minus the bid price, seq the arrival
+    number. No two rows share (key, seq), so a resting order costs one
+    bisect over int pairs, compared in C.
     """
 
     def __init__(self):
-        self._queues: dict[tuple[str, str], list[_Resting]] = {}
+        self._queues: dict[tuple[str, str], list[tuple[int, int, str, int]]] = {}
         self._seq = 0
         self._trade_seq = 0
 
     def depth(self, asset: str) -> tuple[int, int]:
         bids, asks = (self._queues.get((asset, side), []) for side in (BUY, SELL))
-        return (sum(r.remaining for r in bids), sum(r.remaining for r in asks))
+        return (sum(r[3] for r in bids), sum(r[3] for r in asks))
 
     def match(self, order: Order) -> list[Trade]:
         """Match an incoming order; the unfilled remainder rests.
 
-        Crossing executes at the resting order's price. Better prices fill
-        first; ties fill oldest first. A member never crosses with itself:
-        its own resting orders are passed over and stay resting.
+        Crossing executes at the resting order's price. Fills walk from the
+        best row, so better prices fill first and ties oldest first. A member
+        never crosses with itself: its own resting rows are passed over.
         """
         self._seq += 1
         buy = order.side == BUY
+        member = order.member
         queue = self._queues.get((order.asset, SELL if buy else BUY), [])
+        # A resting row crosses while its key is at most this: an ask at or
+        # below the bid price, a bid (key -price) at or above the ask price.
+        limit = order.price if buy else -order.price
         remaining = order.quantity
         trades: list[Trade] = []
         i = 0
         while remaining and i < len(queue):
-            resting = queue[i]
-            price = resting.order.price
-            crosses = price <= order.price if buy else price >= order.price
-            if not crosses:
+            key, seq, owner, left = queue[i]
+            if key > limit:
                 break
-            if resting.order.member == order.member:
+            if owner == member:
                 i += 1
                 continue
-            qty = min(remaining, resting.remaining)
+            qty = min(remaining, left)
             self._trade_seq += 1
             trades.append(
                 Trade(
                     id=f"T{self._trade_seq:06d}",
-                    buyer=order.member if buy else resting.order.member,
-                    seller=resting.order.member if buy else order.member,
+                    buyer=member if buy else owner,
+                    seller=owner if buy else member,
                     asset=order.asset,
                     quantity=qty,
-                    price=price,
+                    price=key if buy else -key,
                     trade_day=order.day,
                 )
             )
             remaining -= qty
-            resting.remaining -= qty
-            if not resting.remaining:
+            if qty == left:
                 del queue[i]
+            else:
+                queue[i] = (key, seq, owner, left - qty)
         if remaining:
-            priority = (-order.price if buy else order.price, self._seq)
-            queue = self._queues.setdefault((order.asset, order.side), [])
-            insort(queue, _Resting(priority, order, remaining))
+            rest = (-limit, self._seq, member, remaining)
+            insort(self._queues.setdefault((order.asset, order.side), []), rest)
         return trades
 
 

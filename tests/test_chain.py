@@ -740,6 +740,83 @@ class TestApprovalMemo:
         assert c.verify() == ch.VerifyResult(False, 2, ch.R_APPROVAL_SIG)
 
 
+@pytest.fixture
+def roots(monkeypatch):
+    """Every crypto.merkle_root call, as its leaves."""
+    calls = []
+    real = crypto.merkle_root
+
+    def counting(leaves):
+        calls.append(tuple(leaves))
+        return real(leaves)
+
+    monkeypatch.setattr(crypto, "merkle_root", counting)
+    return calls
+
+
+# each makes new headers for a chain's blocks
+HEADER_COPIES = {
+    "replace": lambda c: [Block(replace(b.header), b.txs, b.approvals) for b in c.blocks],
+    "copy": lambda c: [Block(copy.copy(b.header), b.txs, b.approvals) for b in c.blocks],
+    "deepcopy": lambda c: copy.deepcopy(c.blocks),
+    "pickle": lambda c: pickle.loads(pickle.dumps(c.blocks)),
+    "import": lambda c: Chain.from_jsonl(c.to_jsonl(), c.config).blocks,
+}
+
+
+def _reorder(block: Block) -> Block:
+    return Block(block.header, block.txs[::-1], block.approvals)
+
+
+def _flip_payload(block: Block) -> Block:
+    t0 = block.txs[0]
+    return Block(block.header, (replace(t0, payload=_flip_first(t0.payload)),) + block.txs[1:], block.approvals)
+
+
+def _replace_root(block: Block) -> Block:
+    return Block(replace(block.header, merkle_root=sha256d(b"other")), block.txs, block.approvals)
+
+
+def _mutate_root(block: Block) -> Block:
+    object.__setattr__(block.header, "merkle_root", sha256d(b"other"))
+    return block
+
+
+class TestMerkleMemo:
+    """A header's Merkle root is hashed once, at build, while its tx ids are
+    unchanged; a copy hashes again, and every edit still fails where it did."""
+
+    def test_root_is_hashed_once_from_build_to_verify(self, roots):
+        c = Chain(quorum_config())
+        grow(c, 3)
+        assert c.verify().valid
+        assert verify_chain(list(c.blocks), c.config).valid
+        assert roots == [tuple(t.tx_id for t in b.txs) for b in c.blocks[1:]]
+
+    @pytest.mark.parametrize("how", sorted(HEADER_COPIES))
+    def test_a_copied_header_is_hashed_again(self, how, roots):
+        c = Chain(quorum_config())
+        grow(c, 3)
+        assert c.verify().valid
+        roots.clear()
+        blocks = HEADER_COPIES[how](c)
+        assert all(b.header._root_memo is None for b in blocks)
+        assert verify_chain(blocks, c.config).valid
+        assert len(roots) == 3
+
+    @pytest.mark.parametrize(
+        "edit, height",
+        [(_reorder, 2), (_flip_payload, 1), (_replace_root, 2), (_mutate_root, 2)],
+    )
+    def test_edit_after_the_memo_fails_at_its_height(self, edit, height):
+        c = Chain(quorum_config())
+        grow(c, 3)
+        assert c.verify().valid
+        assert c.blocks[height].header._root_memo is not None
+        c.blocks[height] = edit(c.blocks[height])
+        assert c.verify() == ch.VerifyResult(False, height, ch.R_MERKLE)
+
+
 class TestImportHashesOnce:
     def test_each_imported_tx_is_hashed_once(self, monkeypatch):
         c = Chain(quorum_config())

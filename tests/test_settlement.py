@@ -140,17 +140,53 @@ class TestMatching:
                 )
                 for i in range(150)
             ]
-            book = st.OrderBook()
-            got = [
-                (t.id, t.buyer, t.seller, t.asset, t.quantity, t.price, t.trade_day)
-                for o in orders
-                for t in book.match(o)
-            ]
-            want, depth = match_oracle(
-                [(o.member, o.side, o.asset, o.quantity, o.price, o.day) for o in orders]
-            )
-            assert got == want
-            assert {a: book.depth(a) for a in depth} == depth
+            self._assert_matches_oracle(orders)
+
+    def _assert_matches_oracle(self, orders):
+        """Match orders in one book; trades and every depth equal the oracle's."""
+        book = st.OrderBook()
+        got = [
+            (t.id, t.buyer, t.seller, t.asset, t.quantity, t.price, t.trade_day)
+            for o in orders
+            for t in book.match(o)
+        ]
+        want, depth = match_oracle([(o.member, o.side, o.asset, o.quantity, o.price, o.day) for o in orders])
+        assert got == want
+        assert {a: book.depth(a) for a in depth} == depth
+        return got
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_deep_tied_book_matches_oracle(self, seed):
+        # 1,600 orders on three price levels from 24 members. Bids lean low
+        # and asks high, so queues grow to about 160 tied rows; Zipf weights
+        # make about one order in four meet a crossing row of its own member.
+        rng = random.Random(f"deep-ties:{seed}")
+        members = [f"m{i:02d}" for i in range(24)]
+        weights = [1.0 / (i + 1) for i in range(len(members))]
+        orders = []
+        for i in range(1600):
+            side = rng.choice([st.BUY, st.SELL])
+            member = rng.choices(members, weights)[0]
+            price = rng.choice([99, 99, 100, 101] if side == st.BUY else [99, 100, 101, 101])
+            asset = rng.choice(["BOND", "BILL"])
+            orders.append(st.Order(f"O{i}", member, side, asset, rng.randrange(1, 30), price, i // 400))
+        assert len(self._assert_matches_oracle(orders)) > 500
+
+    def test_partly_filled_head_keeps_its_place_before_an_equal_price(self):
+        orders = [
+            st.Order("O1", "a", st.SELL, "BOND", 10, 100, 0),
+            st.Order("O2", "b", st.SELL, "BOND", 5, 100, 0),
+            st.Order("O3", "c", st.BUY, "BOND", 4, 100, 0),  # a's head row keeps 6
+            st.Order("O4", "d", st.SELL, "BOND", 3, 100, 0),  # rests behind b
+            st.Order("O5", "e", st.BUY, "BOND", 12, 100, 0),
+        ]
+        got = self._assert_matches_oracle(orders)
+        assert [(buyer, seller, qty) for _, buyer, seller, _, qty, _, _ in got] == [
+            ("c", "a", 4),
+            ("e", "a", 6),
+            ("e", "b", 5),
+            ("e", "d", 1),
+        ]
 
     def test_assets_isolated(self):
         book = st.OrderBook()
