@@ -172,8 +172,8 @@ class GlAccount:
     balance: int = 0  # signed, debit positive
 
 
-# Chart of accounts that the posting map, ecl_provision and depreciate post
-# to. control_for marks the two control accounts.
+# Chart of accounts that the posting map posts to. control_for marks the
+# two control accounts.
 CHART: Mapping[str, tuple[str, str]] = {
     "receivables_control": (ASSET, RECEIVABLES),
     "payables_control": (LIABILITY, PAYABLES),
@@ -185,10 +185,6 @@ CHART: Mapping[str, tuple[str, str]] = {
     "petty_cash_float": (ASSET, "none"),
     "sundry_expense": (EXPENSE, "none"),
     "accruals": (LIABILITY, "none"),
-    "impairment_expense": (EXPENSE, "none"),
-    "loss_allowance": (ASSET, "none"),  # contra-asset, runs a credit balance
-    "depreciation_expense": (EXPENSE, "none"),
-    "accumulated_depreciation": (ASSET, "none"),  # contra-asset
 }
 
 # Day-total posting rule per book: (debit account, credit account,
@@ -218,7 +214,6 @@ class ReconcileResult:
 class GeneralLedger:
     def __init__(self):
         self.accounts: dict[str, GlAccount] = {}
-        self.entries: list[JournalEntry] = []
         self.receivables: dict[str, int] = {}
         self.payables: dict[str, int] = {}
 
@@ -237,7 +232,6 @@ class GeneralLedger:
         for line in entry.lines:
             acct = self.accounts[line.account]
             acct.balance += line.amount if line.side == DEBIT else -line.amount
-        self.entries.append(entry)
         return entry
 
     def trial_balance(self) -> dict[str, int]:
@@ -335,13 +329,11 @@ def ecl_provision(
     pd_lifetime: float,
     lgd: float,
     stage: int,
-) -> tuple[int, JournalEntry | None]:
+) -> int:
     """Expected credit loss provision, rounded half-up to minor units.
 
     Stage 1 uses the 12-month default probability; stages 2 and 3 the
-    lifetime probability. Returns the provision and the balanced entry
-    (impairment expense against the loss allowance), or None when the
-    provision rounds to zero.
+    lifetime probability.
     """
     if not 0 <= pd_12m <= 1 or not 0 <= pd_lifetime <= 1 or not 0 <= lgd <= 1:
         raise InvalidProbability("pd and lgd must lie in [0, 1]")
@@ -350,17 +342,7 @@ def ecl_provision(
     if stage not in (1, 2, 3):
         raise BankLedgerError(f"stage must be 1, 2, or 3, got {stage!r}")
     pd = pd_12m if stage == 1 else pd_lifetime
-    provision = _round_half_up(Fraction(exposure) * Fraction(str(pd)) * Fraction(str(lgd)))
-    if provision == 0:
-        return 0, None
-    entry = simple_entry(
-        date="",
-        debit_account="impairment_expense",
-        credit_account="loss_allowance",
-        amount=provision,
-        memo=f"ecl stage {stage}",
-    )
-    return provision, entry
+    return _round_half_up(Fraction(exposure) * Fraction(str(pd)) * Fraction(str(lgd)))
 
 
 @dataclass(frozen=True)
@@ -379,7 +361,7 @@ class FixedAsset:
             raise BankLedgerError("periods_elapsed must be non-negative")
 
 
-def depreciate(asset: FixedAsset) -> tuple[int, JournalEntry | None]:
+def depreciate(asset: FixedAsset) -> int:
     """Straight-line charge for the current period.
 
     The regular charge is (cost - salvage) / life rounded half-up; the
@@ -393,16 +375,5 @@ def depreciate(asset: FixedAsset) -> tuple[int, JournalEntry | None]:
     base = asset.cost - asset.salvage
     regular = _round_half_up(Fraction(base, asset.life_periods))
     if asset.periods_elapsed == asset.life_periods - 1:
-        amount = base - regular * (asset.life_periods - 1)
-    else:
-        amount = regular
-    if amount == 0:
-        return 0, None
-    entry = simple_entry(
-        date="",
-        debit_account="depreciation_expense",
-        credit_account="accumulated_depreciation",
-        amount=amount,
-        memo=f"straight-line period {asset.periods_elapsed + 1}/{asset.life_periods}",
-    )
-    return amount, entry
+        return base - regular * (asset.life_periods - 1)
+    return regular

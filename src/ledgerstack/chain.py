@@ -19,9 +19,11 @@ The genesis block (height 0, all-zero prev_hash, wall_time 0, no
 transactions, all-zero merkle root) is created by the Chain constructor and
 acts as the trust anchor: it needs neither approvals nor work.
 
-validate_block is the one place a block is checked: build_block,
-approve_and_append and append_mined raise for the reason code it returns,
-and verify_chain reports that code with the height. Transaction.verify
+validate_block is the one place a block is checked, and BlockRejected is
+the one block refusal: build_block, approve_and_append and append_mined
+raise BlockRejected(reason, height) with the R_* code it returns and the
+height the block was offered at, which is the reason and first_bad_height
+verify_chain reports for the same block list. Transaction.verify
 and Approval.verify (per block id) memoize on the object the exact content
 Ed25519 accepted. A header memoizes its block_id, and the tx ids last
 checked against its Merkle root with the root they hash to; build_block
@@ -55,7 +57,7 @@ MODE_POW = "pow"
 U64_MAX = 2**64 - 1
 U32_MAX = 2**32 - 1
 
-# verify_chain failure reasons
+# block refusal reasons: verify_chain reports them, BlockRejected carries them
 R_BAD_GENESIS = "bad_genesis"
 R_HEIGHT = "height_mismatch"
 R_LINK = "link_broken"
@@ -79,38 +81,17 @@ class BadConfig(ChainError):
     pass
 
 
-class BadTxSignature(ChainError):
-    pass
+class BlockRejected(ChainError):
+    """A block refused by build or append, with verify_chain's reason code
+    and the height the block was offered at."""
 
-
-class DoubleSpend(ChainError):
-    """The same transaction id may never be recorded more than once."""
-
-
-class StaleParent(ChainError):
-    """Block does not extend the current tip."""
-
-
-class UnknownValidator(ChainError):
-    """Approval from a key outside the configured validator set."""
-
-
-class BadApprovalSignature(ChainError):
-    pass
-
-
-class QuorumNotMet(ChainError):
-    def __init__(self, count: int, needed: int):
-        super().__init__(f"quorum not met: {count} of {needed} required approvals")
-        self.count = count
-        self.needed = needed
+    def __init__(self, reason: str, height: int):
+        super().__init__(f"{reason} at height {height}")
+        self.reason = reason
+        self.height = height
 
 
 class WrongMode(ChainError):
-    pass
-
-
-class PowTargetMissed(ChainError):
     pass
 
 
@@ -354,7 +335,7 @@ def mine_pow(header: BlockHeader, target_bits: int) -> int:
             return nonce
         nonce += 1
         if nonce > U64_MAX:
-            raise PowTargetMissed("nonce space exhausted")
+            raise ChainError("nonce space exhausted")
 
 
 # ---------------------------------------------------------------------------
@@ -415,38 +396,21 @@ def validate_block(
     return None if len(distinct) >= config.quorum_m else R_QUORUM
 
 
-# What build and append raise for a reason; the others raise ChainError.
-_ERRORS: dict[str, type[ChainError]] = {
-    R_HEIGHT: StaleParent, R_LINK: StaleParent, R_TX_HASH: BadTxSignature,
-    R_TX_SIG: BadTxSignature, R_DUP: DoubleSpend, R_UNKNOWN_VAL: UnknownValidator,
-    R_APPROVAL_SIG: BadApprovalSignature, R_POW: PowTargetMissed,
-}
-
-
-def _raise_for(reason: str | None, block: Block, config: ChainConfig) -> None:
-    if reason == R_QUORUM:
-        raise QuorumNotMet(len({ap.validator_pk for ap in block.approvals}), config.quorum_m)
-    if reason == R_MERKLE and not all(tx.verify() for tx in block.txs):
-        reason = R_TX_SIG  # the root moved because a transaction was altered
-    if reason is not None:
-        raise _ERRORS.get(reason, ChainError)(f"{reason} at height {block.header.height}")
-
-
 def build_block(
     txs: Sequence[Transaction],
     prev_block_id: bytes,
     height: int,
     wall_time: int,
-    config: ChainConfig,
     known_tx_ids: AbstractSet[bytes] = frozenset(),
 ) -> Block:
     """Assemble an unappended block. Validates txs, leaves nonce = 0.
 
-    Raises BadTxSignature on any invalid transaction and DoubleSpend when a
-    tx id repeats inside the batch or against known_tx_ids (chain history).
+    Raises BlockRejected for an empty batch, an invalid transaction, or a
+    tx id that repeats inside the batch or against known_tx_ids (chain
+    history).
     """
     if not txs:
-        raise ChainError("a block must carry at least one transaction")
+        raise BlockRejected(R_EMPTY, height)
     ids = tuple(tx.tx_id for tx in txs)
     header = BlockHeader(
         height=height,
@@ -458,7 +422,9 @@ def build_block(
     )
     object.__setattr__(header, "_root_memo", (ids, header.merkle_root))
     block = Block(header=header, txs=tuple(txs))
-    _raise_for(validate_block(block, prev_block_id, height, known_tx_ids, None), block, config)
+    reason = validate_block(block, prev_block_id, height, known_tx_ids, None)
+    if reason is not None:
+        raise BlockRejected(reason, height)
     return block
 
 
@@ -495,11 +461,13 @@ class Chain:
         return frozenset(self._tx_ids)
 
     def build_block(self, txs: Sequence[Transaction], wall_time: int) -> Block:
-        return build_block(txs, self.tip.block_id, self.height + 1, wall_time, self.config, self._tx_ids)
+        return build_block(txs, self.tip.block_id, self.height + 1, wall_time, self._tx_ids)
 
     def _append(self, block: Block) -> Block:
-        reason = validate_block(block, self.tip.block_id, self.height + 1, self._tx_ids, self.config)
-        _raise_for(reason, block, self.config)
+        height = self.height + 1
+        reason = validate_block(block, self.tip.block_id, height, self._tx_ids, self.config)
+        if reason is not None:
+            raise BlockRejected(reason, height)
         self.blocks.append(block)
         self._tx_ids.update(tx.tx_id for tx in block.txs)
         return block

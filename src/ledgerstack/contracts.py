@@ -86,10 +86,6 @@ class StepBudget:
         self.limit = limit
         self.used = 0
 
-    @property
-    def remaining(self) -> int:
-        return self.limit - self.used
-
     def consume(self, n: int = 1) -> None:
         if n < 0:
             raise ValueError("cannot consume negative steps")
@@ -371,10 +367,10 @@ def _settle_run(ctx: InvokeContext) -> Any:
         )
     except (SettlementError, KeyError):
         raise ContractError("invalid_instruction") from None
-    result = settle_dvp(holdings, instr) if instr.mode == DVP else settle_fop(holdings, instr)
+    (settle_dvp if instr.mode == DVP else settle_fop)(holdings, instr)
     return {
         "holdings": holdings,
-        "result": {"id": result.instruction_id, "status": result.status, "reason": result.reason},
+        "result": {"id": instr.id, "status": instr.status, "reason": instr.reason},
     }
 
 

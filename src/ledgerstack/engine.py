@@ -308,8 +308,7 @@ def _op_classify(state: ScenarioState, doc: dict) -> dict:
 
 def _op_ecl(state: ScenarioState, doc: dict) -> dict:
     keys = ("exposure", "pd_12m", "pd_lifetime", "lgd", "stage")
-    provision, _ = bank.ecl_provision(*(doc[key] for key in keys))
-    return {"provision": provision}
+    return {"provision": bank.ecl_provision(*(doc[key] for key in keys))}
 
 
 def _op_depreciate(state: ScenarioState, doc: dict) -> dict:
@@ -319,8 +318,7 @@ def _op_depreciate(state: ScenarioState, doc: dict) -> dict:
         life_periods=doc["life_periods"],
         periods_elapsed=doc.get("periods_elapsed", 0),
     )
-    amount, _ = bank.depreciate(asset)
-    return {"amount": amount, "period": asset.periods_elapsed + 1}
+    return {"amount": bank.depreciate(asset), "period": asset.periods_elapsed + 1}
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 from json.encoder import encode_basestring
 from typing import Any, Callable, Mapping, Sequence
 
-from .crypto import HASH_LEN, ZERO32, canonical_json, sha256d
+from .crypto import HASH_LEN, ZERO32, sha256d
 
 CDI = "CDI"
 UDI = "UDI"
@@ -191,18 +191,6 @@ class AuditLog:
         )
         self._records.append(record)
         return record
-
-    def verify(self) -> AuditResult:
-        return audit_verify(self._records)
-
-    def to_jsonl(self) -> str:
-        return "".join(
-            canonical_json(
-                {**vars(r), "prev_hash": r.prev_hash.hex(), "record_hash": r.record_hash.hex()}
-            ).decode("utf-8")
-            + "\n"
-            for r in self._records
-        )
 
 
 def audit_verify(records: Sequence[AuditRecord]) -> AuditResult:

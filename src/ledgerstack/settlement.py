@@ -14,8 +14,9 @@ Settlement operates on a holdings map: member -> {"cash": int, "assets":
 {symbol: quantity}}. Every obligation moves through one exchange that
 checks both legs and then moves both or neither. Delivery-versus-payment
 exchanges both legs; free-of-payment exchanges the asset leg only and
-leaves the cash obligation visible in the report until a matching payment
-arrives. Every amount that enters settlement passes the money rule.
+leaves the cash owed open in the report's unpaid_deliveries, which
+nothing in the cycle pays. Every amount that enters settlement passes
+the money rule.
 
 The exposure metric is settlement-lag risk: at the end of each day the
 cash value of every still-pending obligation is summed; the cumulative
@@ -298,10 +299,6 @@ def net_obligation_sum(positions: Sequence[NetPosition]) -> int:
 Holdings = dict[str, dict[str, Any]]
 
 
-def new_holdings() -> Holdings:
-    return {}
-
-
 def fund(holdings: Holdings, member: str, cash: int = 0, assets: Mapping[str, int] | None = None) -> None:
     entry = holdings.setdefault(member, {"cash": 0, "assets": {}})
     entry["cash"] += cash
@@ -314,7 +311,9 @@ def holdings_from(entries: Mapping[str, Mapping[str, Any]]) -> Holdings:
     int}}, a missing leg reading as empty. Refuses any amount that is not
     an int (nor a bool) at or above zero, and an entry or `assets` that is
     not an object."""
-    holdings = new_holdings()
+    if not isinstance(entries, Mapping):
+        raise SettlementError("holdings must be an object of member entries")
+    holdings: Holdings = {}
     for member, entry in entries.items():
         if not isinstance(entry, Mapping) or not isinstance(entry.get("assets", {}), Mapping):
             raise SettlementError(f"holdings of {member!r} must be an object with an assets object")
@@ -386,18 +385,12 @@ class SettlementInstruction:
         return self.cash + self.unpaid_cash
 
 
-@dataclass(frozen=True)
-class SettlementResult:
-    instruction_id: str
-    status: str
-    reason: str | None = None
-
-
-def settle_dvp(holdings: Holdings, instr: SettlementInstruction) -> SettlementResult:
+def settle_dvp(holdings: Holdings, instr: SettlementInstruction) -> SettlementInstruction:
     """Atomic two-leg settlement: both legs move or neither does.
 
-    Failure returns a result naming the short leg; holdings are untouched
-    (checked before any mutation, so also bit-identical on failure).
+    Returns the instruction with its status and, on failure, the short leg
+    as its reason; holdings are untouched (checked before any mutation, so
+    also bit-identical on failure).
     """
     if instr.mode != DVP:
         raise SettlementError("settle_dvp requires a dvp instruction")
@@ -405,16 +398,16 @@ def settle_dvp(holdings: Holdings, instr: SettlementInstruction) -> SettlementRe
         holdings, instr.from_member, instr.to_member, instr.asset, instr.quantity, instr.cash
     )
     instr.status, instr.reason = FAILED if reason else SETTLED, reason
-    return SettlementResult(instr.id, instr.status, reason)
+    return instr
 
 
-def settle_fop(holdings: Holdings, instr: SettlementInstruction) -> SettlementResult:
+def settle_fop(holdings: Holdings, instr: SettlementInstruction) -> SettlementInstruction:
     """Free-of-payment: deliver the asset leg only."""
     if instr.mode != FOP:
         raise SettlementError("settle_fop requires a fop instruction")
     reason = _exchange(holdings, instr.from_member, instr.to_member, instr.asset, instr.quantity, 0)
     instr.status, instr.reason = FAILED if reason else SETTLED, reason
-    return SettlementResult(instr.id, instr.status, reason)
+    return instr
 
 
 @dataclass
@@ -448,8 +441,8 @@ class CycleConfig:
     initial_holdings: Mapping[str, Mapping[str, Any]] | None = None
 
     def __post_init__(self):
-        if self.lag_days < 0:
-            raise SettlementError("lag_days must be non-negative")
+        if type(self.lag_days) is not int or self.lag_days < 0:
+            raise SettlementError(f"lag_days must be an int >= 0, got {self.lag_days!r}")
         if self.mode not in (MODE_BILATERAL, MODE_CCP, MODE_CONSORTIUM):
             raise SettlementError(f"unknown cycle mode {self.mode!r}")
         if self.leg_mode not in (DVP, FOP):
@@ -525,7 +518,7 @@ def _opening_holdings(trades: Sequence[Trade], config: CycleConfig) -> Holdings:
     settlement succeeds; hubs are funded for both sides."""
     if config.initial_holdings is not None:
         return holdings_from(config.initial_holdings)
-    holdings = new_holdings()
+    holdings: Holdings = {}
     for t in trades:
         fund(holdings, t.seller, assets={t.asset: t.quantity})
         fund(holdings, t.buyer, cash=t.notional)
@@ -713,12 +706,12 @@ class _Cycle:
         for instr in self.open_instructions:
             if instr.due_day > day:
                 continue
-            result = (settle_dvp if instr.mode == DVP else settle_fop)(self.holdings, instr)
-            if result.status == SETTLED:
+            (settle_dvp if instr.mode == DVP else settle_fop)(self.holdings, instr)
+            if instr.status == SETTLED:
                 settled += 1
             else:
                 failed += 1
-            outcome = {"id": instr.id, "status": result.status, "reason": result.reason, "day": day}
+            outcome = {"id": instr.id, "status": instr.status, "reason": instr.reason, "day": day}
             payloads.append(("settle_result", outcome))
         for transfer in self.open_transfers:
             if transfer.due_day > day:

@@ -369,12 +369,12 @@ def test_07_classification_and_provision(request):
             pd_life = round(rng.random(), 4)
             lgd = round(rng.random(), 4)
             stage = rng.choice((1, 2, 3))
-            base, _ = bank.ecl_provision(exposure, pd_12m, pd_life, lgd, stage)
+            base = bank.ecl_provision(exposure, pd_12m, pd_life, lgd, stage)
             grown = (
-                bank.ecl_provision(exposure + rng.randrange(1, 10_000), pd_12m, pd_life, lgd, stage)[0],
-                bank.ecl_provision(exposure, min(1.0, round(pd_12m + 0.05, 4)), pd_life, lgd, stage)[0],
-                bank.ecl_provision(exposure, pd_12m, min(1.0, round(pd_life + 0.05, 4)), lgd, stage)[0],
-                bank.ecl_provision(exposure, pd_12m, pd_life, min(1.0, round(lgd + 0.05, 4)), stage)[0],
+                bank.ecl_provision(exposure + rng.randrange(1, 10_000), pd_12m, pd_life, lgd, stage),
+                bank.ecl_provision(exposure, min(1.0, round(pd_12m + 0.05, 4)), pd_life, lgd, stage),
+                bank.ecl_provision(exposure, pd_12m, min(1.0, round(pd_life + 0.05, 4)), lgd, stage),
+                bank.ecl_provision(exposure, pd_12m, pd_life, min(1.0, round(lgd + 0.05, 4)), stage),
             )
             assert all(later >= base for later in grown)
 

@@ -226,48 +226,30 @@ class TestClassification:
 class TestEclProvision:
     def test_provision_is_exact_beyond_28_digits(self):
         # before: decimal.InvalidOperation once the product passed 28 digits
-        provision, _ = bank.ecl_provision(10**40 + 3, 0.5, 0.5, 0.5, stage=1)
+        provision = bank.ecl_provision(10**40 + 3, 0.5, 0.5, 0.5, stage=1)
         assert provision == (10**40 + 3) // 4 + 1
 
     def test_stage_one_uses_twelve_month_pd(self):
         # 1_000_000 * 0.02 * 0.45 = 9000
-        provision, entry = bank.ecl_provision(1_000_000, 0.02, 0.35, 0.45, stage=1)
-        assert provision == 9000
-        assert entry is not None
+        assert bank.ecl_provision(1_000_000, 0.02, 0.35, 0.45, stage=1) == 9000
 
     def test_stages_two_and_three_use_lifetime_pd(self):
         # 125_000 * 0.17 * 0.40 = 8500
         for stage in (2, 3):
-            provision, _ = bank.ecl_provision(125_000, 0.02, 0.17, 0.40, stage=stage)
-            assert provision == 8500
+            assert bank.ecl_provision(125_000, 0.02, 0.17, 0.40, stage=stage) == 8500
 
     def test_half_up_rounding(self):
         # 10 * 0.1 * 0.5 = 0.50 exactly; half-up gives 1, not banker's 0
-        provision, _ = bank.ecl_provision(10, 0.1, 0.1, 0.5, stage=1)
-        assert provision == 1
+        assert bank.ecl_provision(10, 0.1, 0.1, 0.5, stage=1) == 1
         # 333 * 0.5 * 0.5 = 83.25 rounds down
-        provision, _ = bank.ecl_provision(333, 0.5, 0.5, 0.5, stage=1)
-        assert provision == 83
+        assert bank.ecl_provision(333, 0.5, 0.5, 0.5, stage=1) == 83
 
     def test_decimal_arithmetic_not_float(self):
         # 100 * 0.615 * 1.0 = 61.5 -> 62; binary float gives 61.4999...
-        provision, _ = bank.ecl_provision(100, 0.615, 0.615, 1.0, stage=1)
-        assert provision == 62
+        assert bank.ecl_provision(100, 0.615, 0.615, 1.0, stage=1) == 62
 
     def test_zero_provision_posts_nothing(self):
-        provision, entry = bank.ecl_provision(100, 0.0, 0.0, 0.9, stage=1)
-        assert provision == 0 and entry is None
-
-    def test_entry_hits_allowance(self):
-        _, entry = bank.ecl_provision(1000, 0.5, 0.5, 1.0, stage=1)
-        accounts = {line.account: line.side for line in entry.lines}
-        assert accounts == {
-            "impairment_expense": bank.DEBIT,
-            "loss_allowance": bank.CREDIT,
-        }
-        ledger = bank.GeneralLedger()
-        ledger.post(entry)
-        assert sum(ledger.trial_balance().values()) == 0
+        assert bank.ecl_provision(100, 0.0, 0.0, 0.9, stage=1) == 0
 
     def test_probability_bounds(self):
         for kwargs in (
@@ -288,15 +270,12 @@ class TestEclProvision:
 class TestDepreciation:
     def test_charge_is_exact_beyond_28_digits(self):
         # before: decimal.InvalidOperation from the quantize
-        amount, _ = bank.depreciate(bank.FixedAsset(10**40, 0, 3, 0))
-        assert amount == (10**40 + 1) // 3
+        assert bank.depreciate(bank.FixedAsset(10**40, 0, 3, 0)) == (10**40 + 1) // 3
 
     def run_schedule(self, cost, salvage, life):
         amounts = []
         for elapsed in range(life):
-            asset = bank.FixedAsset(cost, salvage, life, elapsed)
-            amount, _ = bank.depreciate(asset)
-            amounts.append(amount)
+            amounts.append(bank.depreciate(bank.FixedAsset(cost, salvage, life, elapsed)))
         return amounts
 
     def test_remainder_goes_to_final_period(self):
@@ -318,8 +297,7 @@ class TestDepreciation:
             assert sum(self.run_schedule(cost, salvage, life)) == cost - salvage
 
     def test_zero_charge_posts_nothing(self):
-        amount, entry = bank.depreciate(bank.FixedAsset(500, 500, 4, 0))
-        assert amount == 0 and entry is None
+        assert bank.depreciate(bank.FixedAsset(500, 500, 4, 0)) == 0
 
     def test_fully_depreciated(self):
         with pytest.raises(bank.FullyDepreciated):
@@ -330,11 +308,3 @@ class TestDepreciation:
             bank.FixedAsset(100, 200, 3, 0)  # salvage above cost
         with pytest.raises(bank.BankLedgerError):
             bank.FixedAsset(100, 0, 0, 0)  # no life
-
-    def test_entry_accounts(self):
-        _, entry = bank.depreciate(bank.FixedAsset(90, 0, 3, 1))
-        accounts = {line.account: line.side for line in entry.lines}
-        assert accounts == {
-            "depreciation_expense": bank.DEBIT,
-            "accumulated_depreciation": bank.CREDIT,
-        }

@@ -15,20 +15,15 @@ from ledgerstack import chain as ch
 from ledgerstack import crypto
 from ledgerstack.chain import (
     Approval,
-    BadApprovalSignature,
     BadConfig,
     BadImport,
-    BadTxSignature,
     Block,
     BlockHeader,
+    BlockRejected,
     Chain,
     ChainConfig,
-    DoubleSpend,
     EmptyChain,
-    QuorumNotMet,
-    StaleParent,
     Transaction,
-    UnknownValidator,
     WrongMode,
     build_block,
     leading_zero_bits,
@@ -202,33 +197,38 @@ class TestBuildBlock:
     def test_invalid_tx_rejected(self):
         t = tx(0)
         forged = replace(t, signature=bytes(64))
-        with pytest.raises(BadTxSignature):
-            build_block([forged], ZERO32, 1, 0, quorum_config())
+        with pytest.raises(BlockRejected) as err:
+            build_block([forged], ZERO32, 1, 0)
+        assert (err.value.reason, err.value.height) == (ch.R_TX_SIG, 1)
 
     def test_duplicate_within_block(self):
         t = tx(0)
-        with pytest.raises(DoubleSpend):
-            build_block([t, t], ZERO32, 1, 0, quorum_config())
+        with pytest.raises(BlockRejected) as err:
+            build_block([t, t], ZERO32, 1, 0)
+        assert (err.value.reason, err.value.height) == (ch.R_DUP, 1)
 
     def test_duplicate_against_history(self):
         c = Chain(quorum_config())
         t = tx(0)
         b = c.build_block([t], wall_time=1)
         c.approve_and_append(b, approve(b, VALIDATORS[:2]))
-        with pytest.raises(DoubleSpend):
+        with pytest.raises(BlockRejected) as err:
             c.build_block([t], wall_time=2)
+        assert (err.value.reason, err.value.height) == (ch.R_DUP, 2)
 
     def test_empty_block_rejected(self):
         c = Chain(quorum_config())
-        with pytest.raises(ch.ChainError):
+        with pytest.raises(BlockRejected) as err:
             c.build_block([], wall_time=1)
+        assert (err.value.reason, err.value.height) == (ch.R_EMPTY, 1)
 
     def test_empty_block_rejected_on_append_and_verify(self):
         c = Chain(quorum_config())
         empty = Block(BlockHeader(1, c.tip.block_id, ZERO32, 1, 0, 0), ())
         approvals = approve(empty, VALIDATORS[:2])
-        with pytest.raises(ch.ChainError):
+        with pytest.raises(BlockRejected) as err:
             c.approve_and_append(empty, approvals)
+        assert (err.value.reason, err.value.height) == (ch.R_EMPTY, 1)
         c.blocks.append(Block(empty.header, (), tuple(approvals)))
         assert c.verify() == ch.VerifyResult(False, 1, ch.R_EMPTY)
 
@@ -247,26 +247,29 @@ class TestQuorumAppend:
         c.approve_and_append(b, approve(b, VALIDATORS))
         assert c.height == 1 and c.verify().valid
 
-    def test_below_quorum_rejected_with_counts(self):
+    def test_below_quorum_rejected(self):
         c = Chain(quorum_config(m=2))
         b = c.build_block([tx(0)], 1)
-        with pytest.raises(QuorumNotMet) as err:
+        with pytest.raises(BlockRejected) as err:
             c.approve_and_append(b, approve(b, VALIDATORS[:1]))
-        assert err.value.count == 1 and err.value.needed == 2
+        assert (err.value.reason, err.value.height) == (ch.R_QUORUM, 1)
+        assert str(err.value) == "quorum_not_met at height 1"
         assert c.height == 0
 
     def test_duplicate_approvals_count_once(self):
         c = Chain(quorum_config(m=2))
         b = c.build_block([tx(0)], 1)
         ap = approve(b, VALIDATORS[:1])
-        with pytest.raises(QuorumNotMet):
+        with pytest.raises(BlockRejected) as err:
             c.approve_and_append(b, ap + ap)
+        assert (err.value.reason, err.value.height) == (ch.R_QUORUM, 1)
 
     def test_unknown_validator(self):
         c = Chain(quorum_config(m=2))
         b = c.build_block([tx(0)], 1)
-        with pytest.raises(UnknownValidator):
+        with pytest.raises(BlockRejected) as err:
             c.approve_and_append(b, approve(b, [OUTSIDER, VALIDATORS[0]]))
+        assert (err.value.reason, err.value.height) == (ch.R_UNKNOWN_VAL, 1)
 
     def test_bad_approval_signature(self):
         c = Chain(quorum_config(m=2))
@@ -275,16 +278,18 @@ class TestQuorumAppend:
             Approval(VALIDATORS[0].public, bytes(64)),
             approve(b, VALIDATORS[1:2])[0],
         ]
-        with pytest.raises(BadApprovalSignature):
+        with pytest.raises(BlockRejected) as err:
             c.approve_and_append(b, forged)
+        assert (err.value.reason, err.value.height) == (ch.R_APPROVAL_SIG, 1)
 
     def test_stale_parent(self):
         c = Chain(quorum_config(m=2))
         b1 = c.build_block([tx(0)], 1)
         c.approve_and_append(b1, approve(b1, VALIDATORS[:2]))
-        stale = build_block([tx(1)], ZERO32, 1, 2, c.config)
-        with pytest.raises(StaleParent):
+        stale = build_block([tx(1)], ZERO32, 1, 2)
+        with pytest.raises(BlockRejected) as err:
             c.approve_and_append(stale, approve(stale, VALIDATORS[:2]))
+        assert (err.value.reason, err.value.height) == (ch.R_HEIGHT, 2)
 
     def test_wrong_mode(self):
         c = Chain(ChainConfig(mode="pow", pow_target_bits=8))
@@ -306,8 +311,9 @@ class TestSeal:
         c = Chain(quorum_config(m=2))
         grow(c, 1)
         before = (c.height, c.tx_ids, c.tip)
-        with pytest.raises(UnknownValidator):
+        with pytest.raises(BlockRejected) as err:
             c.seal([tx(10)], 1, VALIDATORS[0], OUTSIDER)
+        assert (err.value.reason, err.value.height) == (ch.R_UNKNOWN_VAL, 2)
         assert (c.height, c.tx_ids, c.tip) == before
 
     def test_pow_chain_refuses_a_seal(self):
@@ -373,8 +379,9 @@ class TestPow:
         b = c.build_block([tx(0)], 1)
         # nonce 0 will essentially never meet 20 bits for this header
         if not pow_check(b.header, 20):
-            with pytest.raises(ch.PowTargetMissed):
+            with pytest.raises(BlockRejected) as err:
                 c.append_mined(b)
+            assert (err.value.reason, err.value.height) == (ch.R_POW, 1)
 
 
 class TestVerifyChain:
@@ -396,9 +403,7 @@ class TestVerifyChain:
     def test_replaced_block_breaks_link_at_next_height(self):
         c = Chain(quorum_config())
         grow(c, 2)
-        alt = build_block(
-            [tx(99)], c.blocks[0].block_id, 1, 777, c.config
-        )
+        alt = build_block([tx(99)], c.blocks[0].block_id, 1, 777)
         alt = Block(alt.header, alt.txs, tuple(approve(alt, VALIDATORS[:2])))
         c.blocks[1] = alt
         assert c.verify() == ch.VerifyResult(False, 2, ch.R_LINK)
@@ -439,7 +444,7 @@ class TestVerifyChain:
         t = tx(0)
         b1 = c.build_block([t], 1)
         c.approve_and_append(b1, approve(b1, VALIDATORS[:2]))
-        dup = build_block([t], c.tip.block_id, 2, 2, c.config)
+        dup = build_block([t], c.tip.block_id, 2, 2)
         dup = Block(dup.header, dup.txs, tuple(approve(dup, VALIDATORS[:2])))
         c.blocks.append(dup)  # bypass append checks on purpose
         assert c.verify() == ch.VerifyResult(False, 2, ch.R_DUP)
@@ -574,6 +579,15 @@ TAMPER = {
     "signature": lambda t: _flip_first(t.signature),
     "tx_id": lambda t: _flip_first(t.tx_id),
 }
+# what validate_block reports for each tamper: an edited signed field
+# moves the tx id, so the recomputed Merkle root no longer matches
+TAMPER_REASON = {
+    "kind": ch.R_MERKLE,
+    "payload": ch.R_MERKLE,
+    "author_pk": ch.R_MERKLE,
+    "signature": ch.R_TX_SIG,
+    "tx_id": ch.R_TX_HASH,
+}
 
 
 class TestVerifyOnce:
@@ -669,9 +683,108 @@ class TestVerifyOnce:
         t = tx(0)
         b = c.build_block([t], wall_time=1)
         object.__setattr__(t, name, TAMPER[name](t))
-        with pytest.raises(BadTxSignature):
+        with pytest.raises(BlockRejected) as err:
             c.approve_and_append(b, approve(b, VALIDATORS[:2]))
+        assert (err.value.reason, err.value.height) == (TAMPER_REASON[name], 1)
         assert c.height == 0
+
+
+def _grown() -> Chain:
+    c = Chain(quorum_config())
+    grow(c, 1)  # tx(0) and tx(1) recorded; the next block is offered at height 2
+    return c
+
+
+def _unchecked(c: Chain, txs: list[Transaction]) -> Block:
+    """The next block over txs with a quorum of approvals, built without
+    any check: what verify_chain sees for a batch build_block refuses."""
+    ids = tuple(t.tx_id for t in txs)
+    root = crypto.merkle_root(ids) if ids else ZERO32
+    header = BlockHeader(c.height + 1, c.tip.block_id, root, 9, len(ids), 0)
+    return Block(header, tuple(txs), tuple(approve(Block(header, ()), VALIDATORS[:2])))
+
+
+def _refused_build(txs):
+    def fault():
+        c = _grown()
+        batch = txs()
+        return c, lambda: c.build_block(batch, 9), _unchecked(c, batch)
+    return fault
+
+
+def _offer(c: Chain, b: Block, approvals: list[Approval]):
+    offered = Block(b.header, b.txs, tuple(approvals))
+    return c, lambda: c.approve_and_append(b, offered.approvals), offered
+
+
+def _refused_approvals(signers):
+    def fault():
+        c = _grown()
+        b = c.build_block([tx(50)], 9)
+        return _offer(c, b, signers(b))
+    return fault
+
+
+def _tampered_after_build(name):
+    def fault():
+        c = _grown()
+        t = tx(50)
+        b = c.build_block([tx(51), t], 9)
+        object.__setattr__(t, name, TAMPER[name](t))
+        return _offer(c, b, approve(b, VALIDATORS[:2]))
+    return fault
+
+
+def _stale(height_of):
+    def fault():
+        c = _grown()
+        b = build_block([tx(50)], c.blocks[0].block_id, height_of(c), 9)
+        return _offer(c, b, approve(b, VALIDATORS[:2]))
+    return fault
+
+
+def _missed_pow():
+    c = Chain(ChainConfig(mode="pow", pow_target_bits=8))
+    c.mine_and_append([tx(0)], 1)
+    b = c.build_block([tx(50)], 9)
+    nonce = next(n for n in range(256) if not pow_check(replace(b.header, nonce=n), 8))
+    offered = Block(replace(b.header, nonce=nonce), b.txs)
+    return c, lambda: c.append_mined(offered), offered
+
+
+# fault -> (the reason both paths give, a maker of (chain, offer, offered block))
+FAULTS = {
+    **{f"tamper_{name}": (TAMPER_REASON[name], _tampered_after_build(name)) for name in TAMPER},
+    "forged_approval": (ch.R_APPROVAL_SIG, _refused_approvals(
+        lambda b: [Approval(VALIDATORS[0].public, bytes(64))] + approve(b, VALIDATORS[1:2]))),
+    "unknown_validator": (ch.R_UNKNOWN_VAL, _refused_approvals(lambda b: approve(b, [OUTSIDER, VALIDATORS[0]]))),
+    "missed_quorum": (ch.R_QUORUM, _refused_approvals(lambda b: approve(b, VALIDATORS[:1]))),
+    "duplicate_approvals": (ch.R_QUORUM, _refused_approvals(lambda b: approve(b, VALIDATORS[:1]) * 2)),
+    "stale_parent": (ch.R_LINK, _stale(lambda c: c.height + 1)),
+    "stale_height": (ch.R_HEIGHT, _stale(lambda c: c.height)),
+    "repeated_tx": (ch.R_DUP, _refused_build(lambda: [tx(0)])),
+    "repeated_in_batch": (ch.R_DUP, _refused_build(lambda: [tx(50), tx(50)])),
+    "forged_tx": (ch.R_TX_SIG, _refused_build(lambda: [replace(tx(50), signature=bytes(64))])),
+    "empty_block": (ch.R_EMPTY, _refused_build(lambda: [])),
+    "missed_pow_target": (ch.R_POW, _missed_pow),
+}
+
+
+class TestOneRefusal:
+    """build_block and the appends refuse a block with the reason and height
+    verify_chain reports for the chain's blocks plus that block."""
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_refusal_matches_verify_chain(self, fault):
+        reason, make = FAULTS[fault]
+        c, offer, offered = make()
+        before = list(c.blocks)
+        with pytest.raises(BlockRejected) as err:
+            offer()
+        assert c.blocks == before
+        assert (err.value.reason, err.value.height) == (reason, c.height + 1)
+        assert str(err.value) == f"{reason} at height {c.height + 1}"
+        assert verify_chain(c.blocks + [offered], c.config) == ch.VerifyResult(False, c.height + 1, reason)
 
 
 @pytest.fixture

@@ -26,7 +26,7 @@ class TestStepBudget:
         b.consume(3)
         b.consume(4)
         assert b.used == 7
-        assert b.remaining == 3
+        assert b.limit - b.used == 3
 
     def test_overflow_drains_then_raises(self):
         b = ct.StepBudget(10)
@@ -35,7 +35,7 @@ class TestStepBudget:
             b.consume(5)
         # the attempt eats whatever was left
         assert b.used == 10
-        assert b.remaining == 0
+        assert b.limit - b.used == 0
 
 
 class TestDeploy:

@@ -250,7 +250,7 @@ class TestRunErrors:
         assert e.value.line == 2 and e.value.actual["error"] == "InvalidParams"
 
     def test_repeated_same_day_transaction_is_refused_with_its_line(self):
-        # before: both receipts recorded, then the day close raised DoubleSpend
+        # before: both receipts recorded, then the day close refused the block as duplicate_tx
         receipt = {"op": "receipt", "id": "m", "amount": 5}
         text = lines({"op": "tsa_init"}, {"op": "open", "id": "m", "kind": "main"}, receipt, receipt)
         with pytest.raises(engine.AssertionFailed) as e:

@@ -2,11 +2,12 @@
 
 The entry points are the CLI, the scenario engine and the benchmark, so
 the code under src/ledgerstack and perfbench is scanned with ast. A public
-top-level function, class or method must be named somewhere in that code
-outside its own definition: as an ast.Name, an ast.Attribute or an import.
-A name inside a string does not count, and neither does a test. The few
-names kept for tests and for later work are listed in ALLOWED, each with
-its reason.
+top-level function or class must be named somewhere in that code outside
+its own definition: as an ast.Name, an ast.Attribute or an import. A public
+method counts only as an ast.Attribute, so a local variable of the same
+name does not reach it. A name inside a string does not count, and neither
+does a test. The few names kept for tests and for later work are listed in
+ALLOWED, each with its reason.
 """
 
 import ast
@@ -45,15 +46,16 @@ def _definitions(tree: ast.Module):
 
 
 def _references(tree: ast.Module):
-    """(name, line) of each ast.Name, ast.Attribute and imported name."""
+    """(name, line, whether an attribute) of each ast.Name, ast.Attribute
+    and imported name."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            yield node.id, node.lineno, False
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, True
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
-                yield alias.name.rsplit(".", 1)[-1], node.lineno
+                yield alias.name.rsplit(".", 1)[-1], node.lineno, False
 
 
 def unreached(roots=SCANNED) -> dict[str, str]:
@@ -64,14 +66,16 @@ def unreached(roots=SCANNED) -> dict[str, str]:
         for root in roots
         for path in sorted(root.rglob("*.py"))
     }
-    named: dict[str, list[tuple[Path, int]]] = {}
+    named: dict[str, list[tuple[Path, int, bool]]] = {}
     for path, (_, tree) in trees.items():
-        for name, line in _references(tree):
-            named.setdefault(name, []).append((path, line))
+        for name, line, attribute in _references(tree):
+            named.setdefault(name, []).append((path, line, attribute))
     found = {}
     for path, (shown, tree) in trees.items():
         for qualified, name, first, last in _definitions(tree):
-            if all(where == path and first <= line <= last for where, line in named.get(name, ())):
+            method = "." in qualified
+            refs = [(where, line) for where, line, attribute in named.get(name, ()) if attribute or not method]
+            if all(where == path and first <= line <= last for where, line in refs):
                 found[qualified] = f"{shown}:{first}"
     return found
 
@@ -91,11 +95,15 @@ def test_the_scan_counts_names_not_strings(tmp_path):
         "def used():\n    return used\n\n"
         "def called():\n    pass\n\n"
         "class Box:\n    def size(self):\n        return 'used'\n\n"
-        "def caller():\n    called()\n    return 'size'\n"
+        "    def width(self):\n        pass\n\n"
+        "    def depth(self):\n        pass\n\n"
+        "def caller(box):\n    called()\n    width = box.depth\n    return 'size', width\n"
     )
     (tmp_path / "n.py").write_text("from m import caller\n")
+    # the local variable `width` does not reach Box.width; `box.depth` reaches Box.depth
     assert unreached([tmp_path]) == {
         "used": "m.py:1",
         "Box": "m.py:7",
         "Box.size": "m.py:8",
+        "Box.width": "m.py:11",
     }

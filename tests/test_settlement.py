@@ -320,7 +320,7 @@ class TestNetting:
 
 class TestInstructionsAndSettlement:
     def holdings(self):
-        h = st.new_holdings()
+        h = {}
         st.fund(h, "seller", cash=0, assets={"BOND": 10})
         st.fund(h, "buyer", cash=1000)
         return h
@@ -534,6 +534,15 @@ class TestRunCycle:
         with pytest.raises(st.SettlementError):
             st.run_cycle([trade("T1", "buyer", "s", qty=5, price=10)], config)
 
+    @pytest.mark.parametrize("entries", [[1], 5, "s"])
+    def test_holdings_from_refuses_holdings_that_are_not_an_object(self, entries):
+        # before: a bare AttributeError from entries.items
+        with pytest.raises(st.SettlementError):
+            st.holdings_from(entries)
+        config = st.CycleConfig(lag_days=1, initial_holdings=entries)
+        with pytest.raises(st.SettlementError):
+            st.run_cycle([trade("T1", "buyer", "s", qty=5, price=10)], config)
+
     def test_deterministic_report_bytes(self):
         def run():
             return st.run_cycle(constant_flow(days=4), st.CycleConfig(lag_days=2, mode=st.MODE_CCP))
@@ -571,6 +580,14 @@ class TestRunCycle:
         st.novate(t, "HUB")
         with pytest.raises(st.SettlementError):
             st.run_cycle([t], st.CycleConfig())
+
+    @pytest.mark.parametrize("lag", [1.5, True, "2", None, -1])
+    def test_lag_must_be_a_non_negative_int(self, lag):
+        # before: 1.5 stopped the cycle at day 1 with the obligation pending
+        # forever, True was reported as "lag_days": true, and "2" and None
+        # raised a bare TypeError
+        with pytest.raises(st.SettlementError, match="lag_days"):
+            st.CycleConfig(lag_days=lag)
 
     @pytest.mark.parametrize("side", ["buyer", "seller"])
     @pytest.mark.parametrize("mode, hub", [(st.MODE_CCP, "CCP"), (st.MODE_CONSORTIUM, "CONSORTIUM")])

@@ -75,7 +75,7 @@ class TestFlows:
             led.record_disbursement("main", amount)
 
     def test_a_repeat_of_a_pending_transaction_is_refused(self):
-        # before: both were recorded, and the day close raised DoubleSpend,
+        # before: both were recorded, and the day close refused the block as duplicate_tx,
         # leaving the day's transactions unsealable
         led = ledger_with_main()
         led.record_receipt("main", 50)
