@@ -22,21 +22,11 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
 from . import crypto
-from . import escrow as escrow_mod
-from .bank_ledger import classify_ifrs9
-from .settlement import (
-    DVP,
-    SettlementError,
-    SettlementInstruction,
-    holdings_from,
-    net_over_dicts,
-    settle_dvp,
-    settle_fop,
-)
+from .settlement import SettlementError, net_over_dicts
 
 FIXED_DEPLOY_STEPS = 10
 FIXED_INVOKE_STEPS = 10
@@ -116,22 +106,12 @@ class MeteredStorage:
         self._charge()
         self._data[key] = value
 
-    def __delitem__(self, key: str) -> None:
-        self._charge()
-        del self._data[key]
-
-    def __contains__(self, key: str) -> bool:
-        self._charge()
-        return key in self._data
-
 
 @dataclass
 class InvokeContext:
-    address: bytes
     args: dict[str, Any]
     storage: MeteredStorage
     budget: StepBudget
-    height: int
     destroyed: bool = False
 
     def self_destruct(self) -> None:
@@ -164,7 +144,6 @@ class ContractCode:
 class _Instance:
     code_id: str
     storage: dict[str, bytes]
-    height: int
     dead: bool = False
 
 
@@ -317,20 +296,7 @@ def _sweep_run(ctx: InvokeContext) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# ifrs9_classify
-
-
-def _classify_run(ctx: InvokeContext) -> Any:
-    solely = ctx.args.get("contractual_cash_flows_only")
-    model = ctx.args.get("business_model")
-    if not isinstance(solely, bool) or not isinstance(model, str):
-        raise ContractError("invalid_args")
-    ctx.charge(1)
-    return {"category": classify_ifrs9(solely, model)}
-
-
-# ---------------------------------------------------------------------------
-# net / settle
+# net
 
 
 def _net_run(ctx: InvokeContext) -> Any:
@@ -342,92 +308,6 @@ def _net_run(ctx: InvokeContext) -> Any:
         return {"positions": net_over_dicts(trades)}
     except (SettlementError, KeyError, TypeError):
         raise ContractError("invalid_trades") from None
-
-
-def _settle_run(ctx: InvokeContext) -> Any:
-    holdings_in = ctx.args.get("holdings")
-    row = ctx.args.get("instruction")
-    if not isinstance(holdings_in, dict) or not isinstance(row, dict):
-        raise ContractError("invalid_args")
-    ctx.charge(len(holdings_in))
-    try:
-        holdings = holdings_from(holdings_in)
-    except SettlementError:
-        raise ContractError("invalid_args") from None
-    try:
-        instr = SettlementInstruction(
-            id=str(row["id"]),
-            from_member=str(row["from"]),
-            to_member=str(row["to"]),
-            asset=str(row["asset"]),
-            quantity=row["quantity"],
-            cash=row.get("cash", 0),
-            mode=str(row.get("mode", DVP)),
-            unpaid_cash=row.get("unpaid_cash", 0),
-        )
-    except (SettlementError, KeyError):
-        raise ContractError("invalid_instruction") from None
-    (settle_dvp if instr.mode == DVP else settle_fop)(holdings, instr)
-    return {
-        "holdings": holdings,
-        "result": {"id": instr.id, "status": instr.status, "reason": instr.reason},
-    }
-
-
-# ---------------------------------------------------------------------------
-# escrow
-
-
-def _escrow_init(ctx: InvokeContext) -> None:
-    keys = {}
-    for role in escrow_mod.ROLES:
-        value = ctx.args.get(role)
-        try:
-            raw = bytes.fromhex(value)
-        except (TypeError, ValueError):
-            raise InvalidParams(f"{role} must be a hex public key") from None
-        if len(raw) != 32:
-            raise InvalidParams(f"{role} must be a 32-byte key")
-        keys[role] = value.lower()
-    amount = ctx.args.get("amount")
-    fee = ctx.args.get("fee", 0)
-    try:
-        escrow_mod.check_terms(*keys.values(), amount, fee)
-    except escrow_mod.EscrowError as exc:
-        raise InvalidParams(str(exc)) from None
-    opened = {"amount": amount, "fee": fee, "votes": [], "status": escrow_mod.OPEN, "outcome": None}
-    for key, value in {**keys, **opened}.items():
-        ctx.store(key, value)
-
-
-# cast_vote raises the base EscrowError only for an unknown disposition
-_ESCROW_REASONS = {
-    escrow_mod.AlreadyFinal: "already_final",
-    escrow_mod.EscrowError: "bad_disposition",
-    escrow_mod.NotParty: "not_party",
-    escrow_mod.BadSignature: "bad_signature",
-    escrow_mod.ConflictingSignature: "conflicting_signature",
-}
-
-
-def _escrow_sign(ctx: InvokeContext) -> Any:
-    signer = str(ctx.args.get("signer", "")).lower()
-    try:
-        signature = bytes.fromhex(ctx.args.get("signature", ""))
-    except (TypeError, ValueError):
-        signature = b""  # fails verification once the signer is known
-    try:
-        return escrow_mod.cast_vote(ctx, signer, signature, ctx.args.get("disposition"))
-    except escrow_mod.EscrowError as exc:
-        raise ContractError(_ESCROW_REASONS[type(exc)]) from None
-
-
-def _escrow_status(ctx: InvokeContext) -> Any:
-    return {
-        "status": ctx.load("status"),
-        "votes": len(ctx.load("votes")),
-        "outcome": ctx.load("outcome"),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -458,32 +338,11 @@ CATALOG: dict[str, ContractCode] = {
             methods={"sweep": _sweep_run},
         ),
         ContractCode(
-            code_id="ifrs9_classify",
-            description="classifies a financial asset into a measurement category",
-            cost_note="deploy 10; classify 11",
-            init=_no_init,
-            methods={"classify": _classify_run},
-        ),
-        ContractCode(
             code_id="net",
             description="multilateral netting of trade lists into member positions",
             cost_note="deploy 10; net 10 + 1 per trade",
             init=_no_init,
             methods={"net": _net_run},
-        ),
-        ContractCode(
-            code_id="settle",
-            description="settles one instruction against a holdings snapshot",
-            cost_note="deploy 10; settle 10 + 1 per member",
-            init=_no_init,
-            methods={"settle": _settle_run},
-        ),
-        ContractCode(
-            code_id="escrow",
-            description="two-of-three signed-disposition escrow returning payout directives",
-            cost_note="deploy 10; sign 10 + ~10 storage; status 10 + 3 storage",
-            init=_escrow_init,
-            methods={"sign": _escrow_sign, "status": _escrow_status},
         ),
     )
 }
@@ -544,14 +403,12 @@ class ContractState:
             raise ContractError("already_deployed")
         storage: dict[str, bytes] = {}
         ctx = InvokeContext(
-            address=address,
             args=dict(init_params) if isinstance(init_params, Mapping) else {},
             storage=MeteredStorage(storage, None),
             budget=budget,
-            height=height,
         )
         code.init(ctx)
-        self._instances[address] = _Instance(code_id=code_id, storage=storage, height=height)
+        self._instances[address] = _Instance(code_id=code_id, storage=storage)
         return address
 
     def invoke(
@@ -568,11 +425,9 @@ class ContractState:
         # run against a copy; commit only on success
         work = dict(inst.storage)
         ctx = InvokeContext(
-            address=address,
             args=dict(args),
             storage=MeteredStorage(work, budget),
             budget=budget,
-            height=inst.height,
         )
         try:
             result = fn(ctx)

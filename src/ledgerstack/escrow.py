@@ -14,9 +14,6 @@ side receives amount - fee and the arbiter keeps the fee.
 Balances live in a flat map from key bytes to integer cash; the escrow
 address itself holds the locked amount, so the map total is conserved
 through every state change.
-
-The catalog escrow contract shares these rules: check_terms for opening
-and cast_vote, which touches state only through load/store, for voting.
 """
 
 from __future__ import annotations
@@ -153,42 +150,36 @@ def check_terms(buyer: Any, seller: Any, arbiter: Any, amount: Any, fee: Any) ->
         raise FeeTooLarge(f"fee {fee} exceeds escrow amount {amount}")
 
 
-def cast_vote(state: Any, signer: Any, signature: bytes, disposition: str) -> dict:
+def _party_keys(escrow: Escrow) -> dict[str, bytes]:
+    return {BUYER: escrow.buyer_pk, SELLER: escrow.seller_pk, ARBITER: escrow.arbiter_pk}
+
+
+def cast_vote(escrow: Escrow, signer_pk: bytes, signature: bytes, disposition: str) -> dict:
     """Record one party's vote; the second distinct backer of a disposition
     resolves the escrow. A party may re-sign its own disposition (no-op)
-    but never the opposite one.
-
-    state has an address and load(key)/store(key, value) over status,
-    buyer, seller, arbiter, votes, amount, fee and outcome; signer is a key
-    in the form state stores keys (bytes on an Escrow, lower-case hex in
-    the contract). Every path touches the same keys in the same order, so
-    metered storage charges it a fixed number of steps. Returns the
-    outcome once resolved, else the open status and vote count.
+    but never the opposite one. Returns the outcome once resolved, else
+    the open status and vote count.
     """
-    status = state.load("status")
-    if status != OPEN:
-        raise AlreadyFinal(f"escrow is {status}")
+    if escrow.status != OPEN:
+        raise AlreadyFinal(f"escrow is {escrow.status}")
     if disposition not in DISPOSITIONS:
         raise EscrowError(f"unknown disposition {disposition!r}")
-    role = {state.load(r): r for r in ROLES}.get(signer)
+    role = {pk: r for r, pk in _party_keys(escrow).items()}.get(signer_pk)
     if role is None:
         raise NotParty("signer is not a party to this escrow")
-    pk = signer if isinstance(signer, bytes) else bytes.fromhex(signer)
-    if not crypto.verify(pk, signing_bytes(state.address, disposition), signature):
+    if not crypto.verify(signer_pk, signing_bytes(escrow.address, disposition), signature):
         raise BadSignature(f"invalid {disposition} signature from {role}")
-    votes = state.load("votes")
-    previous = dict(votes).get(role, disposition)
+    previous = dict(escrow.votes).get(role, disposition)
     if previous != disposition:
         raise ConflictingSignature(f"{role} already signed {previous}")
-    if [role, disposition] not in votes:
-        votes.append([role, disposition])
-        state.store("votes", votes)
-        outcome = resolve_dispositions(votes, state.load("amount"), state.load("fee"))
+    if [role, disposition] not in escrow.votes:
+        escrow.votes.append([role, disposition])
+        outcome = resolve_dispositions(escrow.votes, escrow.amount, escrow.fee)
         if outcome is not None:
-            state.store("status", outcome["status"])
-            state.store("outcome", outcome)
+            escrow.status = outcome["status"]
+            escrow.outcome = outcome
             return outcome
-    return {"status": OPEN, "votes": len(votes)}
+    return {"status": OPEN, "votes": len(escrow.votes)}
 
 
 @dataclass
@@ -203,12 +194,6 @@ class Escrow:
     status: str = OPEN
     votes: list[list[str]] = field(default_factory=list)  # [role, disposition]
     outcome: dict | None = None
-
-    def load(self, key: str) -> Any:
-        return getattr(self, f"{key}_pk" if key in ROLES else key)
-
-    def store(self, key: str, value: Any) -> None:
-        setattr(self, key, value)
 
 
 def open_escrow(
@@ -248,8 +233,9 @@ def sign_disposition(
     """Record one party's vote (see cast_vote); pay out the locked amount
     once the vote resolves the escrow."""
     result = cast_vote(escrow, signer_pk, signature, disposition)
+    keys = _party_keys(escrow)
     for role, amount in result.get("payouts", {}).items():
-        pk = escrow.load(role)
+        pk = keys[role]
         balances[escrow.address] -= amount
         balances[pk] = balances.get(pk, 0) + amount
     return escrow

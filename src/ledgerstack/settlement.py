@@ -309,15 +309,19 @@ def fund(holdings: Holdings, member: str, cash: int = 0, assets: Mapping[str, in
 def holdings_from(entries: Mapping[str, Mapping[str, Any]]) -> Holdings:
     """A fresh holdings map from member -> {"cash": int, "assets": {symbol:
     int}}, a missing leg reading as empty. Refuses any amount that is not
-    an int (nor a bool) at or above zero, and an entry or `assets` that is
-    not an object."""
+    an int (nor a bool) at or above zero, a member name or asset symbol
+    that is not a string, and an entry or `assets` that is not an object."""
     if not isinstance(entries, Mapping):
         raise SettlementError("holdings must be an object of member entries")
     holdings: Holdings = {}
     for member, entry in entries.items():
+        if not isinstance(member, str):
+            raise SettlementError(f"holdings member name {member!r} must be a string")
         if not isinstance(entry, Mapping) or not isinstance(entry.get("assets", {}), Mapping):
             raise SettlementError(f"holdings of {member!r} must be an object with an assets object")
         cash, assets = entry.get("cash", 0), entry.get("assets", {})
+        if not all(isinstance(symbol, str) for symbol in assets):
+            raise SettlementError(f"holdings of {member!r} must name each asset by a string")
         if not is_money_or_zero(cash) or not all(map(is_money_or_zero, assets.values())):
             raise SettlementError(f"holdings of {member!r} must be integers >= 0")
         holdings[member] = {"cash": cash, "assets": dict(assets)}

@@ -6,7 +6,6 @@ import copy
 import hashlib
 import json
 import pickle
-import struct
 from dataclasses import replace
 
 import pytest

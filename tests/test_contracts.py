@@ -2,12 +2,9 @@
 
 import pytest
 
-from ledgerstack import bank_ledger as bank
 from ledgerstack import contracts as ct
 from ledgerstack import crypto
-from ledgerstack import escrow as es
 from ledgerstack import settlement as st
-from ledgerstack.crypto import canonical_json
 
 
 def budget(limit=1000):
@@ -44,7 +41,7 @@ class TestDeploy:
         assert a == ct.derive_address("counter", {"start": 5}, 7)
         assert a != ct.derive_address("counter", {"start": 6}, 7)
         assert a != ct.derive_address("counter", {"start": 5}, 8)
-        assert a != ct.derive_address("escrow", {"start": 5}, 7)
+        assert a != ct.derive_address("net", {"start": 5}, 7)
         assert len(a) == 32
 
     @pytest.mark.parametrize("init,height", [({}, 2**64), ({}, -1), ({"payer": "t\ud800"}, 1)])
@@ -58,19 +55,24 @@ class TestDeploy:
         state = ct.ContractState()
         _, b1 = deploy_counter(state, height=1)
         assert b1.used == ct.FIXED_DEPLOY_STEPS
-        # escrow init writes seven keys, still flat
+        # conditional_payment init writes five keys, still flat
         b2 = budget()
         state.deploy(
-            "escrow",
-            {"buyer": "aa" * 32, "seller": "bb" * 32, "arbiter": "cc" * 32, "amount": 10},
+            "conditional_payment",
+            {"payer": "alice", "payee": "bob", "amount": 10, "condition_hash": "00" * 32},
             b2,
             2,
         )
         assert b2.used == ct.FIXED_DEPLOY_STEPS
 
-    def test_unknown_code(self):
+    # settle, escrow and ifrs9_classify stay out: each rule has its one
+    # path in settlement, escrow or bank_ledger
+    @pytest.mark.parametrize("code_id", ["teleporter", "settle", "escrow", "ifrs9_classify"])
+    def test_unknown_code(self, code_id):
+        b = budget()
         with pytest.raises(ct.UnknownCode):
-            ct.ContractState().deploy("teleporter", {}, budget(), 1)
+            ct.ContractState().deploy(code_id, {}, b, 1)
+        assert b.used == 0
 
     def test_same_terms_same_height_collide(self):
         state = ct.ContractState()
@@ -99,9 +101,6 @@ class TestDeploy:
             ("conditional_payment", {"payer": "a", "payee": "b", "amount": 5, "condition_hash": "00" * 31}),
             ("zba_sweep", {"spurious": 1}),
             ("net", {"spurious": 1}),
-            ("escrow", {"buyer": "aa" * 32, "seller": "aa" * 32, "arbiter": "cc" * 32, "amount": 10}),
-            ("escrow", {"buyer": "aa" * 32, "seller": "bb" * 32, "arbiter": "cc" * 32, "amount": 10, "fee": 11}),
-            ("escrow", {"buyer": "zz", "seller": "bb" * 32, "arbiter": "cc" * 32, "amount": 10}),
         ],
     )
     def test_init_validation(self, code_id, params):
@@ -156,51 +155,27 @@ class TestAtomicity:
         assert state.invoke(addr, "get", {}, budget()) == {"value": 3}
 
     def test_out_of_steps_mid_write_rolls_back_but_charges(self):
-        # a resolving escrow vote writes votes, then status, then outcome;
-        # cutting the budget one step short aborts after the first writes land
-        kps = [crypto.keygen(bytes([i]) * 32) for i in (1, 2, 3)]
+        # a claim reads paid and condition_hash, writes paid, then reads
+        # payer, payee and amount; a budget of 15 runs out after the write
+        preimage = b"open sesame"
         state = ct.ContractState()
         addr = state.deploy(
-            "escrow",
-            {
-                "buyer": kps[0].public.hex(),
-                "seller": kps[1].public.hex(),
-                "arbiter": kps[2].public.hex(),
-                "amount": 100,
-                "fee": 5,
-            },
+            "conditional_payment",
+            {"payer": "alice", "payee": "bob", "amount": 40, "condition_hash": crypto.sha256d(preimage).hex()},
             budget(),
             1,
         )
-
-        def vote(kp, disposition, limit):
-            b = ct.StepBudget(limit)
-            sig = crypto.sign(kp.secret, addr + disposition.encode())
-            result = state.invoke(
-                addr,
-                "sign",
-                {"signer": kp.public.hex(), "signature": sig.hex(), "disposition": disposition},
-                b,
-            )
-            return result, b
-
-        vote(kps[0], "to_seller", 1000)
         before = state.storage_snapshot(addr)
-        short = ct.StepBudget(19)
-        sig = crypto.sign(kps[1].secret, addr + b"to_seller")
+        short = ct.StepBudget(15)
         with pytest.raises(ct.OutOfSteps):
-            state.invoke(
-                addr,
-                "sign",
-                {"signer": kps[1].public.hex(), "signature": sig.hex(), "disposition": "to_seller"},
-                short,
-            )
+            state.invoke(addr, "claim", {"preimage": preimage.hex()}, short)
         assert state.storage_snapshot(addr) == before
-        assert short.used == 19  # spent steps stay spent
-        # with budget the same vote lands and resolves
-        result, b = vote(kps[1], "to_seller", 1000)
-        assert result["status"] == "released"
-        assert b.used == 20
+        assert short.used == 15  # spent steps stay spent
+        # with budget the same claim lands
+        b = budget()
+        result = state.invoke(addr, "claim", {"preimage": preimage.hex()}, b)
+        assert result == {"pay": {"from": "alice", "to": "bob", "amount": 40}}
+        assert b.used == 16
 
     def test_unexpected_exception_is_wrapped_and_rolled_back(self):
         state = ct.ContractState()
@@ -345,31 +320,6 @@ class TestSweepPlanning:
 
 
 class TestStatelessRoutines:
-    def test_classify_delegates_and_charges(self):
-        state = ct.ContractState()
-        addr = state.deploy("ifrs9_classify", {}, budget(), 1)
-        for sppi, model in ((True, "hold_to_collect"), (False, "other"), (True, "hold_to_collect_and_sell")):
-            b = budget()
-            result = state.invoke(
-                addr,
-                "classify",
-                {"contractual_cash_flows_only": sppi, "business_model": model},
-                b,
-            )
-            assert result == {"category": bank.classify_ifrs9(sppi, model)}
-            assert b.used == ct.FIXED_INVOKE_STEPS + 1
-
-    def test_classify_rejects_junk(self):
-        state = ct.ContractState()
-        addr = state.deploy("ifrs9_classify", {}, budget(), 1)
-        with pytest.raises(ct.ContractError):
-            state.invoke(
-                addr,
-                "classify",
-                {"contractual_cash_flows_only": "yes", "business_model": "other"},
-                budget(),
-            )
-
     def test_net_matches_library_and_charges_per_trade(self):
         trades = [
             {"buyer": "a", "seller": "b", "asset": "X", "quantity": 4, "price": 10},
@@ -400,42 +350,6 @@ class TestStatelessRoutines:
             state.invoke(addr, "net", {"trades": [row]}, budget())
         assert e.value.reason == "invalid_trades"
 
-    @pytest.mark.parametrize("field,value", [("quantity", 1.5), ("quantity", "2"), ("cash", 7.9)])
-    def test_settle_refuses_instruction_money_that_is_not_an_int(self, field, value):
-        # before: settled 1.5 as 1 unit, "2" as 2 and a cash leg of 7.9 as 7
-        holdings = {"alice": {"cash": 0, "assets": {"BOND": 3}}, "bob": {"cash": 50, "assets": {}}}
-        row = {"id": "I1", "from": "alice", "to": "bob", "asset": "BOND", "quantity": 1, "cash": 5}
-        row[field] = value
-        state = ct.ContractState()
-        addr = state.deploy("settle", {}, budget(), 1)
-        with pytest.raises(ct.ContractError) as e:
-            state.invoke(addr, "settle", {"holdings": holdings, "instruction": row}, budget())
-        assert e.value.reason == "invalid_instruction"
-
-    @pytest.mark.parametrize("entry", [{"cash": 10.5}, {"cash": 1, "assets": {"BOND": 0.5}}, {"cash": False}])
-    def test_settle_refuses_holdings_that_are_not_integral(self, entry):
-        # before: a cash holding of 10.5 came back as 7.5 after paying 3
-        holdings = {"alice": {"cash": 0, "assets": {"BOND": 3}}, "bob": entry}
-        row = {"id": "I1", "from": "alice", "to": "bob", "asset": "BOND", "quantity": 1, "cash": 3}
-        state = ct.ContractState()
-        addr = state.deploy("settle", {}, budget(), 1)
-        b = budget()
-        with pytest.raises(ct.ContractError) as e:
-            state.invoke(addr, "settle", {"holdings": holdings, "instruction": row}, b)
-        assert e.value.reason == "invalid_args"
-        assert b.used == ct.FIXED_INVOKE_STEPS + len(holdings)
-
-    @pytest.mark.parametrize("entry", [5, {"cash": 1, "assets": [1]}])
-    def test_settle_refuses_holdings_that_are_not_objects(self, entry):
-        # before: contract_fault:AttributeError
-        holdings = {"alice": {"cash": 0, "assets": {"BOND": 3}}, "bob": entry}
-        row = {"id": "I1", "from": "alice", "to": "bob", "asset": "BOND", "quantity": 1, "cash": 3}
-        state = ct.ContractState()
-        addr = state.deploy("settle", {}, budget(), 1)
-        with pytest.raises(ct.ContractError) as e:
-            state.invoke(addr, "settle", {"holdings": holdings, "instruction": row}, budget())
-        assert e.value.reason == "invalid_args"
-
     def test_net_refuses_a_self_trade(self):
         # before: the row netted to nothing
         state = ct.ContractState()
@@ -445,185 +359,13 @@ class TestStatelessRoutines:
             state.invoke(addr, "net", {"trades": trades}, budget())
         assert e.value.reason == "invalid_trades"
 
-    def test_settle_leaves_input_holdings_untouched(self):
-        holdings = {
-            "alice": {"cash": 500, "assets": {"BOND": 3}},
-            "bob": {"cash": 200, "assets": {}},
-        }
-        before = canonical_json(holdings)
-        state = ct.ContractState()
-        addr = state.deploy("settle", {}, budget(), 1)
-        b = budget()
-        result = state.invoke(
-            addr,
-            "settle",
-            {
-                "holdings": holdings,
-                "instruction": {
-                    "id": "I1", "from": "alice", "to": "bob",
-                    "asset": "BOND", "quantity": 2, "cash": 180,
-                },
-            },
-            b,
-        )
-        assert canonical_json(holdings) == before
-        assert result["result"] == {"id": "I1", "status": "settled", "reason": None}
-        assert result["holdings"]["alice"] == {"cash": 680, "assets": {"BOND": 1}}
-        assert result["holdings"]["bob"] == {"cash": 20, "assets": {"BOND": 2}}
-        assert b.used == ct.FIXED_INVOKE_STEPS + len(holdings)
-
-    def test_settle_reports_failures_without_movement(self):
-        holdings = {"alice": {"cash": 0, "assets": {}}, "bob": {"cash": 0, "assets": {}}}
-        state = ct.ContractState()
-        addr = state.deploy("settle", {}, budget(), 1)
-        result = state.invoke(
-            addr,
-            "settle",
-            {
-                "holdings": holdings,
-                "instruction": {
-                    "id": "I2", "from": "alice", "to": "bob",
-                    "asset": "BOND", "quantity": 1, "cash": 10,
-                },
-            },
-            budget(),
-        )
-        assert result["result"]["status"] == "failed"
-        assert result["result"]["reason"] == "insufficient_asset"
-        assert result["holdings"] == holdings
-
-    def test_settle_rejects_malformed_instruction(self):
-        state = ct.ContractState()
-        addr = state.deploy("settle", {}, budget(), 1)
-        with pytest.raises(ct.ContractError) as e:
-            state.invoke(
-                addr, "settle", {"holdings": {}, "instruction": {"id": "x"}}, budget()
-            )
-        assert e.value.reason == "invalid_instruction"
-
-
-class TestEscrowContract:
-    def setup_method(self):
-        self.kps = {
-            role: crypto.keygen(seed * 32)
-            for role, seed in (("buyer", b"\xaa"), ("seller", b"\xab"), ("arbiter", b"\xac"))
-        }
-        self.state = ct.ContractState()
-        self.addr = self.state.deploy(
-            "escrow",
-            {
-                "buyer": self.kps["buyer"].public.hex(),
-                "seller": self.kps["seller"].public.hex(),
-                "arbiter": self.kps["arbiter"].public.hex(),
-                "amount": 600,
-                "fee": 30,
-            },
-            budget(),
-            5,
-        )
-
-    def sign(self, role, disposition, signature=None):
-        kp = self.kps[role]
-        if signature is None:
-            signature = crypto.sign(kp.secret, self.addr + disposition.encode())
-        return self.state.invoke(
-            self.addr,
-            "sign",
-            {"signer": kp.public.hex(), "signature": signature.hex(), "disposition": disposition},
-            budget(),
-        )
-
-    def test_full_arbitrated_path(self):
-        assert self.sign("buyer", "to_buyer") == {"status": "open", "votes": 1}
-        assert self.sign("seller", "to_seller") == {"status": "open", "votes": 2}
-        outcome = self.sign("arbiter", "to_seller")
-        assert outcome == es.resolve_dispositions(
-            [("buyer", "to_buyer"), ("seller", "to_seller"), ("arbiter", "to_seller")],
-            600,
-            30,
-        )
-        assert outcome["payouts"] == {"seller": 570, "arbiter": 30}
-        status = self.state.invoke(self.addr, "status", {}, budget())
-        assert status["status"] == "arbitrated"
-        assert status["votes"] == 3
-
-    def test_bad_signature(self):
-        # valid signature for the other disposition
-        sig = crypto.sign(self.kps["buyer"].secret, self.addr + b"to_buyer")
-        with pytest.raises(ct.ContractError) as e:
-            self.sign("buyer", "to_seller", signature=sig)
-        assert e.value.reason == "bad_signature"
-
-    def test_not_party(self):
-        stranger = crypto.keygen(b"\xad" * 32)
-        sig = crypto.sign(stranger.secret, self.addr + b"to_seller")
-        with pytest.raises(ct.ContractError) as e:
-            self.state.invoke(
-                self.addr,
-                "sign",
-                {"signer": stranger.public.hex(), "signature": sig.hex(), "disposition": "to_seller"},
-                budget(),
-            )
-        assert e.value.reason == "not_party"
-
-    def test_conflicting_and_final(self):
-        self.sign("buyer", "to_seller")
-        with pytest.raises(ct.ContractError) as e:
-            self.sign("buyer", "to_buyer")
-        assert e.value.reason == "conflicting_signature"
-        self.sign("seller", "to_seller")
-        with pytest.raises(ct.ContractError) as e:
-            self.sign("arbiter", "to_seller")
-        assert e.value.reason == "already_final"
-
-    def test_resign_same_is_noop(self):
-        self.sign("buyer", "to_seller")
-        assert self.sign("buyer", "to_seller") == {"status": "open", "votes": 1}
-
-    def cost(self, method, args):
-        """Steps one call spends and the reason it failed with, if any."""
-        b = budget()
-        try:
-            self.state.invoke(self.addr, method, args, b)
-        except ct.ContractError as exc:
-            return b.used, exc.reason
-        return b.used, None
-
-    def signed(self, role, disposition):
-        kp = self.kps[role]
-        sig = crypto.sign(kp.secret, self.addr + disposition.encode())
-        return {"signer": kp.public.hex(), "signature": sig.hex(), "disposition": disposition}
-
-    def test_sign_and_status_costs_are_pinned(self):
-        # every sign path spends a fixed number of storage steps on top of
-        # the flat 10; a refactor of the vote rules must not move them
-        stranger = crypto.keygen(b"\xad" * 32)
-        wrong_sig = crypto.sign(self.kps["buyer"].secret, self.addr + b"to_buyer")
-        buyer_hex = self.kps["buyer"].public.hex()
-        paths = [
-            ("first vote", self.signed("buyer", "to_seller"), 18, None),
-            ("re-sign no-op", self.signed("buyer", "to_seller"), 15, None),
-            ("conflicting", self.signed("buyer", "to_buyer"), 15, "conflicting_signature"),
-            ("unknown disposition", dict(self.signed("buyer", "to_seller"), disposition="sideways"), 11, "bad_disposition"),
-            ("not a party", {"signer": stranger.public.hex(), "signature": "00" * 64, "disposition": "to_seller"}, 14, "not_party"),
-            ("non-hex signer", {"signer": "zz", "signature": "00" * 64, "disposition": "to_seller"}, 14, "not_party"),
-            ("bad signature", {"signer": buyer_hex, "signature": wrong_sig.hex(), "disposition": "to_seller"}, 14, "bad_signature"),
-            ("non-hex signature", {"signer": buyer_hex, "signature": "not hex", "disposition": "to_seller"}, 14, "bad_signature"),
-            ("resolving vote", self.signed("seller", "to_seller"), 20, None),
-            ("already final", self.signed("arbiter", "to_seller"), 11, "already_final"),
-        ]
-        assert self.cost("status", {}) == (13, None)
-        for label, args, steps, reason in paths:
-            assert self.cost("sign", args) == (steps, reason), label
-        assert self.cost("status", {}) == (13, None)
-
 
 class TestCatalogAndDeterminism:
     def test_listing_is_sorted_and_complete(self):
         listing = ct.contract_listing()
         ids = [row["code_id"] for row in listing]
         assert ids == sorted(ct.CATALOG)
-        assert len(ids) == 7
+        assert ids == ["conditional_payment", "counter", "net", "zba_sweep"]
         for row in listing:
             assert set(row) == {"code_id", "description", "cost_note"}
             assert row["description"] and row["cost_note"]

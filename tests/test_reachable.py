@@ -8,6 +8,9 @@ method counts only as an ast.Attribute, so a local variable of the same
 name does not reach it. A name inside a string does not count, and neither
 does a test. The few names kept for tests and for later work are listed in
 ALLOWED, each with its reason.
+
+A second scan, over the tests too, refuses an import that its file never
+uses as a name.
 """
 
 import ast
@@ -15,6 +18,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SCANNED = (ROOT / "src" / "ledgerstack", ROOT / "perfbench")
+IMPORTING = (*SCANNED, ROOT / "tests")
 
 ALLOWED = {
     "OrderBook.depth": "read-only accessor that tests use to observe the book",
@@ -107,3 +111,40 @@ def test_the_scan_counts_names_not_strings(tmp_path):
         "Box.size": "m.py:8",
         "Box.width": "m.py:11",
     }
+
+
+def unused_imports(roots=IMPORTING) -> list[str]:
+    """Each name a file imports but never uses as an ast.Name, as
+    "file:line name". __future__ imports and __init__.py files, which
+    import to re-export, are skipped."""
+    found = []
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            tree = ast.parse(path.read_text(), str(path))
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                if isinstance(node, (ast.Import, ast.ImportFrom)):
+                    for alias in node.names:
+                        bound = alias.asname or alias.name.split(".", 1)[0]
+                        if bound not in used:
+                            found.append(f"{path.relative_to(root)}:{node.lineno} {bound}")
+    return found
+
+
+def test_every_import_is_used():
+    assert unused_imports() == []
+
+
+def test_the_import_scan_counts_names_not_strings(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "from __future__ import annotations\n"
+        "import os.path\nimport json as js\nimport struct\n"
+        "from typing import Any, Mapping\n\n"
+        "def f(x: Any) -> str:\n    return os.path.join('struct', js.dumps(x), 'Mapping')\n"
+    )
+    (tmp_path / "__init__.py").write_text("from m import f\n")
+    assert unused_imports([tmp_path]) == ["m.py:4 struct", "m.py:5 Mapping"]

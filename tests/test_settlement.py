@@ -543,6 +543,23 @@ class TestRunCycle:
         with pytest.raises(st.SettlementError):
             st.run_cycle([trade("T1", "buyer", "s", qty=5, price=10)], config)
 
+    @pytest.mark.parametrize("member", [1, None, ("a",)])
+    def test_holdings_from_refuses_a_member_name_that_is_not_a_string(self, member):
+        # before: a bare TypeError when run_cycle sorted final_holdings
+        with pytest.raises(st.SettlementError, match="member name"):
+            st.holdings_from({member: {"cash": 5}})
+        config = st.CycleConfig(
+            lag_days=0, initial_holdings={member: {"cash": 5}, "a": {"cash": 5}, "b": {"assets": {"X": 1}}}
+        )
+        with pytest.raises(st.SettlementError):
+            st.run_cycle([st.Trade("T1", "a", "b", "X", 1, 5, 0)], config)
+
+    def test_holdings_from_refuses_an_asset_symbol_that_is_not_a_string(self):
+        # before: a bare TypeError when run_cycle sorted the report
+        config = st.CycleConfig(lag_days=0, initial_holdings={"a": {"cash": 5}, "b": {"assets": {"X": 1, 2: 3}}})
+        with pytest.raises(st.SettlementError, match="'b'"):
+            st.run_cycle([st.Trade("T1", "a", "b", "X", 1, 5, 0)], config)
+
     def test_deterministic_report_bytes(self):
         def run():
             return st.run_cycle(constant_flow(days=4), st.CycleConfig(lag_days=2, mode=st.MODE_CCP))
