@@ -1,5 +1,6 @@
 """Escrow state machine and resolution tests."""
 
+import copy
 import itertools
 
 import pytest
@@ -178,6 +179,69 @@ class TestSigning:
         vote(balances, escrow, "seller", es.TO_SELLER)
         with pytest.raises(es.AlreadyFinal):
             vote(balances, escrow, "arbiter", es.TO_SELLER)
+
+
+class TestCastVote:
+    """cast_vote on its own: the vote rules, read off the Escrow fields."""
+
+    def cast(self, escrow, who, disposition):
+        kp = KEYS[who]
+        sig = crypto.sign(kp.secret, es.signing_bytes(escrow.address, disposition))
+        return es.cast_vote(escrow, kp.public, sig, disposition)
+
+    def test_reports_open_votes_then_the_outcome(self):
+        _, escrow = fresh(amount=600, fee=30)
+        assert self.cast(escrow, "buyer", es.TO_BUYER) == {"status": es.OPEN, "votes": 1}
+        assert self.cast(escrow, "seller", es.TO_SELLER) == {"status": es.OPEN, "votes": 2}
+        outcome = self.cast(escrow, "arbiter", es.TO_SELLER)
+        assert outcome == es.resolve_dispositions(
+            [("buyer", es.TO_BUYER), ("seller", es.TO_SELLER), ("arbiter", es.TO_SELLER)],
+            600,
+            30,
+        )
+        assert outcome["payouts"] == {"seller": 570, "arbiter": 30}
+        assert (escrow.status, escrow.outcome, len(escrow.votes)) == (es.ARBITRATED, outcome, 3)
+
+    def test_resign_same_reports_the_same_count(self):
+        _, escrow = fresh()
+        self.cast(escrow, "buyer", es.TO_SELLER)
+        assert self.cast(escrow, "buyer", es.TO_SELLER) == {"status": es.OPEN, "votes": 1}
+
+    def test_a_party_key_spelled_in_hex_is_not_a_party(self):
+        # keys are compared as bytes; a hex string of the buyer's key is not it
+        _, escrow = fresh()
+        sig = crypto.sign(BUYER_KP.secret, es.signing_bytes(escrow.address, es.TO_SELLER))
+        with pytest.raises(es.NotParty):
+            es.cast_vote(escrow, BUYER_KP.public.hex(), sig, es.TO_SELLER)
+        assert escrow.votes == []
+
+    # (votes cast first, voter, disposition, disposition the signature covers,
+    # signature override, refusal)
+    REFUSALS = {
+        "not_party": ([], "outsider", es.TO_SELLER, es.TO_SELLER, None, es.NotParty),
+        "bad_signature": ([], "buyer", es.TO_SELLER, es.TO_BUYER, None, es.BadSignature),
+        "short_signature": ([], "buyer", es.TO_SELLER, es.TO_SELLER, b"\x00" * 10, es.BadSignature),
+        "conflicting": ([("buyer", es.TO_SELLER)], "buyer", es.TO_BUYER, es.TO_BUYER, None, es.ConflictingSignature),
+        "unknown_disposition": ([], "buyer", "sideways", "sideways", None, es.EscrowError),
+        "already_final": (
+            [("buyer", es.TO_SELLER), ("seller", es.TO_SELLER)],
+            "arbiter", es.TO_SELLER, es.TO_SELLER, None, es.AlreadyFinal,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(REFUSALS))
+    def test_a_refused_vote_changes_nothing(self, case):
+        prior, who, disposition, signed, signature, refusal = self.REFUSALS[case]
+        balances, escrow = fresh()
+        for role, choice in prior:
+            vote(balances, escrow, role, choice)
+        kp = dict(KEYS, outsider=OUTSIDER_KP)[who]
+        if signature is None:
+            signature = crypto.sign(kp.secret, es.signing_bytes(escrow.address, signed))
+        before = (dict(balances), copy.deepcopy(escrow))
+        with pytest.raises(refusal):
+            es.sign_disposition(balances, escrow, kp.public, signature, disposition)
+        assert (balances, escrow) == before
 
 
 class TestResolution:

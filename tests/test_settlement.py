@@ -525,6 +525,31 @@ class TestRunCycle:
         holdings["b"]["assets"]["BOND"] = 9
         assert entries["b"]["assets"] == {"BOND": 0}
 
+    @pytest.mark.parametrize("entry", [{"cash": 10.5}, {"cash": 1, "assets": {"BOND": 0.5}}, {"cash": False}])
+    def test_holdings_from_refuses_amounts_that_are_not_integral(self, entry):
+        with pytest.raises(st.SettlementError, match="'bob'"):
+            st.holdings_from({"alice": {"cash": 0, "assets": {"BOND": 3}}, "bob": entry})
+
+    def test_dvp_on_holdings_from_leaves_the_entries_untouched(self):
+        entries = {"alice": {"cash": 500, "assets": {"BOND": 3}}, "bob": {"cash": 200}}
+        before = canonical_json(entries)
+        holdings = st.holdings_from(entries)
+        instr = st.SettlementInstruction("I1", "alice", "bob", "BOND", 2, 180, st.DVP)
+        result = st.settle_dvp(holdings, instr)
+        assert (result.status, result.reason) == (st.SETTLED, None)
+        assert holdings == {
+            "alice": {"cash": 680, "assets": {"BOND": 1}},
+            "bob": {"cash": 20, "assets": {"BOND": 2}},
+        }
+        assert canonical_json(entries) == before
+
+    def test_dvp_between_members_with_empty_entries_moves_nothing(self):
+        holdings = st.holdings_from({"alice": {}, "bob": {}})
+        instr = st.SettlementInstruction("I2", "alice", "bob", "BOND", 1, 10, st.DVP)
+        result = st.settle_dvp(holdings, instr)
+        assert (result.status, result.reason) == (st.FAILED, st.INSUFFICIENT_ASSET)
+        assert holdings == {"alice": {"cash": 0, "assets": {}}, "bob": {"cash": 0, "assets": {}}}
+
     @pytest.mark.parametrize("entry", [5, None, [1], {"cash": 1, "assets": [1]}, {"assets": "BOND"}])
     def test_holdings_from_refuses_an_entry_that_is_not_an_object(self, entry):
         # before: a bare AttributeError from entry.get or assets.values
