@@ -2,8 +2,9 @@
 
 Layers, bottom up:
 
-- crypto: double SHA-256, Merkle trees, Ed25519 keys, period stamps
-- chain: transactions, 92-byte block headers, quorum / proof-of-work append
+- crypto: double SHA-256, Merkle trees, Ed25519 keys
+- chain: transactions, 92-byte block headers, quorum / proof-of-work append,
+  period stamps as header-only blocks
 - integrity: Clark-Wilson enforcement composed with Biba level checks
 - contracts: step-metered deterministic contract catalog
 - tsa: treasury single account ledger with end-of-day sweeps

@@ -71,6 +71,7 @@ R_APPROVAL_SIG = "bad_approval_signature"
 R_QUORUM = "quorum_not_met"
 R_POW = "pow_target_missed"
 R_EMPTY = "empty_block"
+R_CLOCK = "clock_regression"
 
 
 class ChainError(Exception):
@@ -527,6 +528,59 @@ class Chain:
         chain.blocks = [_block_from_line(ln, i + 1) for i, ln in enumerate(lines)]
         chain._tx_ids = {tx.tx_id for b in chain.blocks for tx in b.txs}
         return chain
+
+
+# ---------------------------------------------------------------------------
+# Period stamps
+#
+# A period stamp is a header-only block over an ordered batch of raw items:
+# height is the period index, prev_hash the previous stamp's block_id (zero
+# for period 0), merkle_root the root of the items' sha256d, tx_count the
+# item count and nonce 0. The stamp is its block_id, so it commits to the
+# index, the count and the wall time as well as to the items.
+
+
+def stamp_period(items: Sequence[bytes], prev: BlockHeader | None, wall_time: int) -> BlockHeader:
+    """Close a period over raw item bytes and chain it onto prev (None
+    starts the chain). Raises BlockRejected for a period with no items or
+    a wall_time earlier than prev's."""
+    height = 0 if prev is None else prev.height + 1
+    if not items:
+        raise BlockRejected(R_EMPTY, height)
+    if prev is not None and wall_time < prev.wall_time:
+        raise BlockRejected(R_CLOCK, height)
+    return BlockHeader(
+        height=height,
+        prev_hash=ZERO32 if prev is None else prev.block_id,
+        merkle_root=crypto.merkle_root([sha256d(item) for item in items]),
+        wall_time=wall_time,
+        tx_count=len(items),
+        nonce=0,
+    )
+
+
+def verify_stamps(periods: Sequence[tuple[BlockHeader, Sequence[bytes]]]) -> VerifyResult:
+    """Recompute a stamp chain from each period's (stamp, items); report the
+    first bad period as first_bad_height, with an R_* reason."""
+    prev: BlockHeader | None = None
+    for height, (stamp, items) in enumerate(periods):
+        if stamp.height != height:
+            reason = R_HEIGHT
+        elif stamp.prev_hash != (ZERO32 if prev is None else prev.block_id):
+            reason = R_LINK
+        elif prev is not None and stamp.wall_time < prev.wall_time:
+            reason = R_CLOCK
+        elif stamp.tx_count != len(items):
+            reason = R_TX_COUNT
+        elif not items:
+            reason = R_EMPTY
+        elif stamp.merkle_root != crypto.merkle_root([sha256d(item) for item in items]):
+            reason = R_MERKLE
+        else:
+            prev = stamp
+            continue
+        return VerifyResult(False, height, reason)
+    return VerifyResult(True)
 
 
 def verify_chain(blocks: Sequence[Block], config: ChainConfig) -> VerifyResult:

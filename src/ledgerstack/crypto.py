@@ -1,4 +1,4 @@
-"""Hashing, Merkle tree, signature, and period-stamp primitives.
+"""Hashing, Merkle tree and signature primitives.
 
 Everything here is deterministic: the same inputs always produce the same
 bytes. All digests are 32-byte double SHA-256 values, rendered as 64
@@ -47,10 +47,6 @@ class BadIndex(CryptoError):
 
 class BadSeed(CryptoError):
     """Key seeds must be exactly 32 bytes."""
-
-
-class ClockRegression(CryptoError):
-    """A period stamp may not be dated earlier than its predecessor."""
 
 
 def sha256d(data: bytes) -> bytes:
@@ -283,65 +279,3 @@ def verify_many(items: Sequence[tuple[bytes, bytes, bytes]]) -> list[bool]:
             os.close(read)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-
-
-# ---------------------------------------------------------------------------
-# Period stamping
-#
-# A period gathers an ordered batch of raw items, hashes each item, takes
-# the Merkle root of those hashes, and chains: stamp = sha256d(items_root
-# concatenated with the previous period's stamp). The genesis predecessor
-# stamp is 32 zero bytes.
-
-
-@dataclass(frozen=True)
-class PeriodStamp:
-    period_index: int
-    items_root: bytes
-    stamp: bytes
-    wall_time: int
-
-
-def stamp_period(
-    items: Sequence[bytes], prev: PeriodStamp | None, wall_time: int
-) -> PeriodStamp:
-    """Close a period over raw item bytes and chain it onto prev.
-
-    prev=None starts the chain (period_index 0, predecessor stamp all-zero).
-    wall_time must not move backwards along the chain.
-    """
-    if not items:
-        raise EmptyLeaves("a period must contain at least one item")
-    if wall_time < 0:
-        raise CryptoError("wall_time must be non-negative")
-    if prev is not None and wall_time < prev.wall_time:
-        raise ClockRegression(
-            f"wall_time {wall_time} precedes previous period at {prev.wall_time}"
-        )
-    prev_stamp = ZERO32 if prev is None else prev.stamp
-    index = 0 if prev is None else prev.period_index + 1
-    items_root = merkle_root([sha256d(item) for item in items])
-    return PeriodStamp(
-        period_index=index,
-        items_root=items_root,
-        stamp=sha256d(items_root + prev_stamp),
-        wall_time=wall_time,
-    )
-
-
-def verify_stamp_chain(
-    stamps: Sequence[PeriodStamp], items_per_period: Sequence[Sequence[bytes]]
-) -> bool:
-    """Recompute an entire stamp chain from raw items and compare."""
-    if len(stamps) != len(items_per_period):
-        return False
-    prev: PeriodStamp | None = None
-    for stamp, items in zip(stamps, items_per_period):
-        try:
-            expected = stamp_period(items, prev, stamp.wall_time)
-        except CryptoError:
-            return False
-        if expected != stamp:
-            return False
-        prev = stamp
-    return True

@@ -6,7 +6,8 @@ pool for escrow, prime entry books feeding a general ledger, a contract
 state, and a period-stamp chain for cross-agency anchoring.
 
 A line may carry "expected": every key in it must match the op result
-exactly (top-level subset). A line may instead carry "expect_error" with
+exactly (top-level subset), compared as canonical JSON, so true is not 1
+and 5.0 is not 5. A line may instead carry "expect_error" with
 an error class name; the op must then raise exactly that. Failures raise
 AssertionFailed with the line number, expected, and actual values.
 
@@ -24,6 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from . import bank_ledger as bank
+from . import chain as chain_mod
 from . import contracts as contracts_mod
 from . import crypto
 from . import escrow as escrow_mod
@@ -78,8 +80,8 @@ class ScenarioState:
     contract_aliases: dict[str, bytes] = field(default_factory=dict)
     books: bank.PrimeBooks = field(default_factory=bank.PrimeBooks)
     gl: bank.GeneralLedger = field(default_factory=bank.GeneralLedger)
-    stamps: list[crypto.PeriodStamp] = field(default_factory=list)
-    stamp_items: list[list[bytes]] = field(default_factory=list)
+    # (stamp, the tips it anchors) per period
+    stamps: list[tuple[chain_mod.BlockHeader, list[bytes]]] = field(default_factory=list)
 
     def ledger(self, doc: dict) -> tsa_mod.TsaLedger:
         agency = doc.get("agency", DEFAULT_AGENCY)
@@ -181,21 +183,24 @@ def _op_anchor_day(state: ScenarioState, doc: dict) -> dict:
     items = [
         state.ledgers[agency].chain.tip.block_id for agency in sorted(state.ledgers)
     ]
-    prev = state.stamps[-1] if state.stamps else None
+    prev = state.stamps[-1][0] if state.stamps else None
     wall = prev.wall_time + 1 if prev else 0
-    stamp = crypto.stamp_period(items, prev, wall_time=wall)
-    state.stamps.append(stamp)
-    state.stamp_items.append(items)
+    stamp = chain_mod.stamp_period(items, prev, wall_time=wall)
+    state.stamps.append((stamp, items))
     return {
-        "period_index": stamp.period_index,
-        "stamp": stamp.stamp.hex(),
+        "period_index": stamp.height,
+        "stamp": stamp.block_id.hex(),
         "anchored": len(items),
     }
 
 
 def _op_stamp_verify(state: ScenarioState, doc: dict) -> dict:
-    valid = crypto.verify_stamp_chain(state.stamps, state.stamp_items)
-    return {"valid": valid, "periods": len(state.stamps)}
+    result = chain_mod.verify_stamps(state.stamps)
+    out: dict[str, Any] = {"valid": result.valid, "periods": len(state.stamps)}
+    if not result.valid:
+        out["first_bad_period"] = result.first_bad_height
+        out["reason"] = result.reason
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +414,7 @@ _EXPECTED_ERRORS: frozenset[str] = frozenset(
 
 def _check_expected(line_no: int, expected: dict, actual: dict) -> None:
     for key, want in expected.items():
-        if key not in actual or actual[key] != want:
+        if key not in actual or crypto.canonical_json(actual[key]) != crypto.canonical_json(want):
             raise AssertionFailed(line_no, expected, actual)
 
 

@@ -81,7 +81,6 @@ def biba_check(subject_level: int, object_level: int, action: str) -> bool:
 @dataclass
 class Subject:
     id: str
-    public_key: bytes = b""
     biba_level: int = 0
     privileged: bool = False
 
@@ -486,10 +485,6 @@ def _as_int(value: bytes) -> int:
     return int(value.decode("ascii")) if value else 0
 
 
-def tp_set_value(values: dict[str, bytes], args: dict) -> dict[str, bytes]:
-    return {k: str(args["value"]).encode("utf-8") for k in values}
-
-
 def tp_credit(values: dict[str, bytes], args: dict) -> dict[str, bytes]:
     amount = int(args["amount"])
     return {k: str(_as_int(v) + amount).encode("ascii") for k, v in values.items()}
@@ -509,24 +504,7 @@ def ivp_non_negative_int(value: bytes) -> bool:
     return _as_int(value) >= 0
 
 
-def ivp_is_int(value: bytes) -> bool:
-    try:
-        _as_int(value)
-        return True
-    except (ValueError, UnicodeDecodeError):
-        return False
-
-
-def ivp_utf8(value: bytes) -> bool:
-    try:
-        value.decode("utf-8")
-        return True
-    except UnicodeDecodeError:
-        return False
-
-
 BUILTIN_TPS: Mapping[str, TpFn] = {
-    "set_value": tp_set_value,
     "credit": tp_credit,
     "debit": tp_debit,
     "sanitize_int": tp_sanitize_int,
@@ -534,8 +512,6 @@ BUILTIN_TPS: Mapping[str, TpFn] = {
 
 BUILTIN_IVPS: Mapping[str, IvpFn] = {
     "non_negative_int": ivp_non_negative_int,
-    "is_int": ivp_is_int,
-    "utf8": ivp_utf8,
 }
 
 
@@ -556,7 +532,6 @@ _LOADERS: dict[str, Callable[[PolicyState, Mapping[str, Any]], None]] = {
     "subjects": lambda state, s: state.register_subject(
         Subject(
             id=s["id"],
-            public_key=bytes.fromhex(_typed(s, "public_key", "", "hex text", lambda v: type(v) is str)),
             biba_level=_typed(s, "biba_level", 0, "an integer", lambda v: type(v) is int),
             privileged=_typed(s, "privileged", False, "a bool", lambda v: type(v) is bool),
         )
@@ -579,7 +554,7 @@ def load_policy(doc: Mapping[str, Any]) -> PolicyState:
     """Build a PolicyState from a policy document.
 
     Shape:
-        {"subjects": [{"id", "biba_level", "privileged", "public_key"?}],
+        {"subjects": [{"id", "biba_level", "privileged"}],
          "items":    [{"id", "class", "biba_level", "value"}],
          "tps":      [{"id", "builtin", "certified_by"}],
          "ivps":     [{"item", "builtin"}],
@@ -602,6 +577,6 @@ def load_policy(doc: Mapping[str, Any]) -> PolicyState:
                 load(state, entry)
             except IntegrityError as exc:
                 raise type(exc)(f"{section}[{index}]: {exc}") from None
-            except (KeyError, TypeError, ValueError) as exc:  # a missing key, an unhashable id, bad hex
+            except (KeyError, TypeError, ValueError) as exc:  # a missing key, an unhashable id
                 raise IntegrityError(f"{section}[{index}]: {exc!r}") from None
     return state

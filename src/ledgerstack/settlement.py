@@ -27,6 +27,7 @@ per-day series plateaus at exactly L * N.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right, insort
 from dataclasses import asdict, dataclass, field
 from typing import Any, Iterable, Mapping, Sequence
@@ -768,6 +769,17 @@ class _Cycle:
         )
 
 
+# int() alone would also read "1_000", "+0", " 5" and a fullwidth digit
+_CSV_INT = re.compile(r"-?[0-9]+")
+
+
+def _csv_int(row: dict, column: str) -> int:
+    text = row[column]
+    if type(text) is not str or not _CSV_INT.fullmatch(text):
+        raise SettlementError(f"{column} must be an optional '-' and ASCII digits, got {text!r}")
+    return int(text)
+
+
 def trades_from_csv(text: str) -> list[Trade]:
     """Columns: id,buyer,seller,asset,quantity,price,day."""
     import csv as _csv
@@ -782,9 +794,9 @@ def trades_from_csv(text: str) -> list[Trade]:
                     buyer=row["buyer"].strip(),
                     seller=row["seller"].strip(),
                     asset=row["asset"].strip(),
-                    quantity=int(row["quantity"]),
-                    price=int(row["price"]),
-                    trade_day=int(row["day"]),
+                    quantity=_csv_int(row, "quantity"),
+                    price=_csv_int(row, "price"),
+                    trade_day=_csv_int(row, "day"),
                 )
             )
         except SettlementError as exc:  # the Trade's own refusal keeps its class

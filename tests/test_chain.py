@@ -6,6 +6,7 @@ import copy
 import hashlib
 import json
 import pickle
+import struct
 from dataclasses import replace
 
 import pytest
@@ -29,7 +30,9 @@ from ledgerstack.chain import (
     mine_pow,
     pow_check,
     serialize_header,
+    stamp_period,
     verify_chain,
+    verify_stamps,
 )
 from ledgerstack.crypto import ZERO32, keygen, sha256d, sign
 
@@ -454,6 +457,91 @@ class TestVerifyChain:
         c.blocks[0] = Block(replace(g.header, prev_hash=sha256d(b"x")), g.txs)
         res = c.verify()
         assert not res.valid and res.reason == ch.R_BAD_GENESIS
+
+
+def stamped(*batches, wall_time=1000):
+    """(stamp, items) for each batch, one period each, one second apart."""
+    periods, prev = [], None
+    for i, items in enumerate(batches):
+        prev = stamp_period(items, prev, wall_time + i)
+        periods.append((prev, items))
+    return periods
+
+
+class TestPeriodStamp:
+    # The 92-byte header of period 0 over [b"period-item-0"] at wall time
+    # 100, packed by hand: height 0, zero prev_hash, the one leaf
+    # sha256d(b"period-item-0") as its root, 100, one item, nonce 0.
+    STAMP0 = "9705c44ff8d4f79b897fa65e6021e566d39e61a911636b7d6e0058d856abf2b8"
+
+    def test_genesis_single_item_frozen(self):
+        leaf = hashlib.sha256(hashlib.sha256(b"period-item-0").digest()).digest()
+        packed = struct.pack(">Q32s32sQIQ", 0, bytes(32), leaf, 100, 1, 0)
+        assert hashlib.sha256(hashlib.sha256(packed).digest()).hexdigest() == self.STAMP0
+        st = stamp_period([b"period-item-0"], None, wall_time=100)
+        assert st == BlockHeader(height=0, prev_hash=ZERO32, merkle_root=leaf, wall_time=100, tx_count=1, nonce=0)
+        assert st.block_id.hex() == self.STAMP0
+
+    def test_index_increments_and_links(self):
+        (s0, _), (s1, _), (s2, _) = stamped([b"x"], [b"y"], [b"z"])
+        assert (s0.height, s1.height, s2.height) == (0, 1, 2)
+        assert (s1.prev_hash, s2.prev_hash) == (s0.block_id, s1.block_id)
+
+    def test_chain_of_three_reverifies_from_items(self):
+        assert verify_stamps(stamped([b"a", b"b"], [b"c"], [b"d", b"e", b"f"])) == ch.VerifyResult(True)
+
+    def test_item_order_matters(self):
+        assert stamp_period([b"a", b"b"], None, 1).block_id != stamp_period([b"b", b"a"], None, 1).block_id
+
+    def test_clock_regression(self):
+        s0 = stamp_period([b"a"], None, 100)
+        with pytest.raises(BlockRejected) as err:
+            stamp_period([b"b"], s0, 99)
+        assert (err.value.reason, err.value.height) == (ch.R_CLOCK, 1)
+        # equal wall_time is allowed
+        assert stamp_period([b"b"], s0, 100).wall_time == 100
+
+    def test_empty_period_rejected(self):
+        with pytest.raises(BlockRejected) as err:
+            stamp_period([], None, 1)
+        assert (err.value.reason, err.value.height) == (ch.R_EMPTY, 0)
+
+    # the three defects of a stamp over items_root + prev_stamp alone
+
+    def test_a_repeated_last_item_is_a_different_stamp(self):
+        # Bitcoin CVE-2012-2459: an odd level pairs its last node with itself
+        a, b, c = b"a", b"b", b"c"
+        assert stamp_period([a, b, c], None, 1).block_id != stamp_period([a, b, c, c], None, 1).block_id
+
+    def test_two_leaves_do_not_stamp_as_their_inner_node(self):
+        # RFC 6962 section 2.1: a leaf must not pass for an inner node
+        x, y = b"x", b"y"
+        two = stamp_period([x, y], None, 1)
+        one = stamp_period([sha256d(x) + sha256d(y)], None, 1)
+        assert two.merkle_root == one.merkle_root
+        assert two.block_id != one.block_id
+
+    def test_a_rewritten_wall_time_breaks_the_next_link(self):
+        (s0, i0), p1 = stamped([b"a"], [b"b"], wall_time=0)
+        assert verify_stamps([(replace(s0, wall_time=1), i0), p1]) == ch.VerifyResult(False, 1, ch.R_LINK)
+
+    @pytest.mark.parametrize(
+        "period,tamper,reason",
+        [
+            (0, lambda s, items: (replace(s, prev_hash=sha256d(b"x")), items), ch.R_LINK),
+            (1, lambda s, items: (replace(s, height=5), items), ch.R_HEIGHT),
+            (1, lambda s, items: (replace(s, prev_hash=ZERO32), items), ch.R_LINK),
+            (1, lambda s, items: (replace(s, wall_time=999), items), ch.R_CLOCK),
+            (1, lambda s, items: (s, items + [b"more"]), ch.R_TX_COUNT),
+            (1, lambda s, items: (replace(s, tx_count=0), []), ch.R_EMPTY),
+            (1, lambda s, items: (s, [b"B"]), ch.R_MERKLE),
+        ],
+        ids=["genesis-link", "height", "link", "clock", "count", "empty", "merkle"],
+    )
+    def test_fault_is_reported_at_its_period(self, period, tamper, reason):
+        periods = stamped([b"a"], [b"b"], [b"c"])
+        periods[period] = tamper(*periods[period])
+        assert verify_stamps(periods) == ch.VerifyResult(False, period, reason)
 
 
 # non-ASCII text, quotes, backslashes and control characters in one string

@@ -1,4 +1,4 @@
-"""Hashing, Merkle, signature, and period-stamp unit tests.
+"""Hashing, Merkle and signature unit tests.
 
 Frozen hex literals were computed from independent hand expansions (see
 oracles.py and the inline expansions below), never from the code under test.
@@ -19,10 +19,8 @@ import pytest
 
 from ledgerstack import crypto
 from ledgerstack.crypto import (
-    ZERO32,
     BadIndex,
     BadSeed,
-    ClockRegression,
     EmptyLeaves,
     MerkleProof,
     canonical_json,
@@ -32,10 +30,8 @@ from ledgerstack.crypto import (
     merkle_verify,
     sha256d,
     sign,
-    stamp_period,
     verify,
     verify_many,
-    verify_stamp_chain,
 )
 from oracles import sha256_pure, sha256d_pure
 
@@ -467,51 +463,3 @@ class TestVerifyMany:
         finally:
             if running(child):
                 os.kill(child, signal.SIGKILL)
-
-
-class TestPeriodStamp:
-    # sha256d(sha256d(b"period-item-0") + zero32), expanded by hand.
-    STAMP0 = "30e9f6b60ba776ebeb30794a48b17ebfe93998720a090be091a04d01a787be15"
-
-    def test_genesis_single_item_frozen(self):
-        st = stamp_period([b"period-item-0"], None, wall_time=100)
-        assert st.period_index == 0
-        assert st.items_root == sha256d(b"period-item-0")
-        assert st.stamp.hex() == self.STAMP0
-        assert st.stamp == sha256d(st.items_root + ZERO32)
-
-    def test_index_increments(self):
-        s0 = stamp_period([b"x"], None, 10)
-        s1 = stamp_period([b"y"], s0, 20)
-        s2 = stamp_period([b"z"], s1, 20)
-        assert (s0.period_index, s1.period_index, s2.period_index) == (0, 1, 2)
-        assert s1.stamp == sha256d(s1.items_root + s0.stamp)
-
-    def test_chain_of_three_reverifies_from_items(self):
-        batches = [[b"a", b"b"], [b"c"], [b"d", b"e", b"f"]]
-        stamps = []
-        prev = None
-        for i, items in enumerate(batches):
-            prev = stamp_period(items, prev, wall_time=1000 + i)
-            stamps.append(prev)
-        assert verify_stamp_chain(stamps, batches)
-
-    def test_tampered_item_fails_reverification(self):
-        batches = [[b"a"], [b"b"]]
-        s0 = stamp_period(batches[0], None, 1)
-        s1 = stamp_period(batches[1], s0, 2)
-        assert not verify_stamp_chain([s0, s1], [[b"a"], [b"B"]])
-
-    def test_item_order_matters(self):
-        assert stamp_period([b"a", b"b"], None, 1) != stamp_period([b"b", b"a"], None, 1)
-
-    def test_clock_regression(self):
-        s0 = stamp_period([b"a"], None, 100)
-        with pytest.raises(ClockRegression):
-            stamp_period([b"b"], s0, 99)
-        # equal wall_time is allowed
-        assert stamp_period([b"b"], s0, 100).wall_time == 100
-
-    def test_empty_period_rejected(self):
-        with pytest.raises(EmptyLeaves):
-            stamp_period([], None, 1)

@@ -279,6 +279,23 @@ class TestAssertions:
         assert e.value.expected == {"balance": 71}
         assert e.value.actual["balance"] == 70
 
+    @pytest.mark.parametrize(
+        "doc,expected",
+        [
+            ({"op": "chain_verify"}, {"valid": 1}),
+            ({"op": "day_close"}, {"day": False}),
+            ({"op": "receipt", "id": "m", "amount": 5}, {"balance": 5.0}),
+            ({"op": "anchor_day"}, {"anchored": True}),
+        ],
+        ids=["valid-1", "day-false", "balance-5.0", "anchored-true"],
+    )
+    def test_expected_value_of_another_json_type_fails(self, doc, expected):
+        # before: != let 1 stand for true, false for 0 and 5.0 for 5
+        text = lines({"op": "tsa_init"}, {"op": "open", "id": "m", "kind": "main"}, {**doc, "expected": expected})
+        with pytest.raises(engine.AssertionFailed) as e:
+            engine.run_scenario(text)
+        assert e.value.line == 3
+
     def test_expected_missing_key_fails(self):
         text = lines(
             {"op": "tsa_init"},
@@ -380,6 +397,17 @@ class TestBundledScenarios:
             by_op.setdefault(row["op"], []).append(row["result"])
         assert by_op["stamp_verify"][-1] == {"valid": True, "periods": 2}
         assert all(r["match"] for r in by_op["replay_check"])
+
+    def test_stamp_verify_reports_the_first_bad_period_and_why(self):
+        state = engine.ScenarioState()
+        for line in bundled("tsa_distributed_day.jsonl").split("\n"):
+            if line.startswith("{"):
+                doc = json.loads(line)
+                engine.HANDLERS[doc["op"]](state, doc)
+        stamp, items = state.stamps[0]
+        state.stamps[0] = (stamp, items[::-1])
+        result = engine.HANDLERS["stamp_verify"](state, {"op": "stamp_verify"})
+        assert result == {"valid": False, "periods": 2, "first_bad_period": 0, "reason": "merkle_mismatch"}
 
     def test_escrow_paths_conserve_cash(self):
         report = engine.run_scenario(bundled("escrow_paths.jsonl"))

@@ -9,25 +9,27 @@ Three files under golden/ were written by the builders below:
   and by an outside clerk;
 - tsa_distributed_day.stamps.jsonl: the period-stamp chain of the
   anchor_day ops in the bundled tsa_distributed_day scenario, one period
-  per line with its anchored items.
+  per line: the stamp's header fields, its block_id and its anchored
+  items.
 
 Each file must import and verify, re-export byte for byte, replay to the
 pinned state (or, for the stamps, to the stamps the scenario reports),
-and fail at a pinned height with a pinned reason once a single byte is
-flipped. A change that alters one of these formats keeps these tests or
-declares which expectation changed and why. The last test, that today's
-writer still produces each file, is the one a format change is meant to
-break.
+and fail at a pinned height (period) with a pinned reason once a single
+byte is flipped. A change that alters one of these formats keeps these
+tests or declares which expectation changed and why. The last test,
+that today's writer still produces each file, is the one a format change
+is meant to break.
 """
 
 import json
 import pathlib
+from dataclasses import replace
 from importlib import resources
 
 import pytest
 
 from ledgerstack import crypto, engine, tsa
-from ledgerstack.chain import BadImport, Chain, ChainConfig, Transaction
+from ledgerstack.chain import BadImport, BlockHeader, Chain, ChainConfig, Transaction, verify_stamps
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -119,50 +121,55 @@ def build_quorum_chain() -> Chain:
     return chain
 
 
-def build_stamps() -> tuple[list[crypto.PeriodStamp], list[list[bytes]]]:
+def build_stamps() -> list[tuple[BlockHeader, list[bytes]]]:
     state = engine.ScenarioState()
     text = (resources.files("ledgerstack") / "scenarios" / "tsa_distributed_day.jsonl").read_text()
     for line in text.split("\n"):
         if line.strip() and not line.startswith("#"):
             doc = json.loads(line)
             engine.HANDLERS[doc["op"]](state, doc)
-    return state.stamps, state.stamp_items
+    return state.stamps
 
 
 # -- stamp file codec ----------------------------------------------------------
 
 
-def dump_stamps(stamps, items_per_period) -> str:
+def dump_stamps(periods) -> str:
     return "".join(
         crypto.canonical_json(
             {
-                "period_index": s.period_index,
+                "height": s.height,
+                "prev_hash": s.prev_hash.hex(),
+                "merkle_root": s.merkle_root.hex(),
                 "wall_time": s.wall_time,
-                "items_root": s.items_root.hex(),
-                "stamp": s.stamp.hex(),
+                "tx_count": s.tx_count,
+                "nonce": s.nonce,
+                "block_id": s.block_id.hex(),
                 "items": [item.hex() for item in items],
             }
         ).decode("utf-8")
         + "\n"
-        for s, items in zip(stamps, items_per_period)
+        for s, items in periods
     )
 
 
-def load_stamps(text: str):
-    stamps, items_per_period = [], []
-    for line in text.split("\n"):
+def load_stamps(text: str) -> list[tuple[BlockHeader, list[bytes]]]:
+    periods = []
+    for lineno, line in enumerate(text.split("\n"), 1):
         if line:
             obj = json.loads(line)
-            stamps.append(
-                crypto.PeriodStamp(
-                    period_index=obj["period_index"],
-                    items_root=bytes.fromhex(obj["items_root"]),
-                    stamp=bytes.fromhex(obj["stamp"]),
-                    wall_time=obj["wall_time"],
-                )
+            stamp = BlockHeader(
+                height=obj["height"],
+                prev_hash=bytes.fromhex(obj["prev_hash"]),
+                merkle_root=bytes.fromhex(obj["merkle_root"]),
+                wall_time=obj["wall_time"],
+                tx_count=obj["tx_count"],
+                nonce=obj["nonce"],
             )
-            items_per_period.append([bytes.fromhex(item) for item in obj["items"]])
-    return stamps, items_per_period
+            if stamp.block_id != bytes.fromhex(obj["block_id"]):
+                raise BadImport(lineno, "stated block_id does not match recomputed header hash")
+            periods.append((stamp, [bytes.fromhex(item) for item in obj["items"]]))
+    return periods
 
 
 # -- helpers -------------------------------------------------------------------
@@ -193,12 +200,14 @@ def first_failure(text: str, config: ChainConfig) -> tuple[int, str] | None:
     return None if result.valid else (result.first_bad_height, result.reason)
 
 
-def first_bad_period(stamps, items_per_period) -> int | None:
-    # verify_stamp_chain gives no position, so find the shortest failing prefix
-    for k in range(1, len(stamps) + 1):
-        if not crypto.verify_stamp_chain(stamps[:k], items_per_period[:k]):
-            return k - 1
-    return None
+def first_bad_period(text: str) -> tuple[int, str] | None:
+    """(period, reason) of the first refusal, from the load or the verify."""
+    try:
+        periods = load_stamps(text)
+    except BadImport as exc:
+        return exc.line - 1, f"load: {exc}"  # line n holds period n - 1
+    result = verify_stamps(periods)
+    return None if result.valid else (result.first_bad_height, result.reason)
 
 
 # -- the pins ------------------------------------------------------------------
@@ -247,28 +256,43 @@ def test_one_flipped_byte_fails_at_its_height(path, config, line, key, nth, heig
 
 class TestStampFile:
     def test_imports_and_verifies(self):
-        stamps, items = load_stamps(STAMPS_FILE.read_text())
-        assert len(stamps) == 2 and [len(row) for row in items] == [2, 2]
-        assert crypto.verify_stamp_chain(stamps, items)
+        periods = load_stamps(STAMPS_FILE.read_text())
+        assert [len(items) for _, items in periods] == [2, 2]
+        assert verify_stamps(periods).valid
 
     def test_canonical_reexport_is_byte_identical(self):
         text = STAMPS_FILE.read_text()
-        assert dump_stamps(*load_stamps(text)) == text
+        assert dump_stamps(load_stamps(text)) == text
 
     def test_stamps_are_the_ones_the_scenario_reports(self):
         text = (resources.files("ledgerstack") / "scenarios" / "tsa_distributed_day.jsonl").read_text()
         report = engine.run_scenario(text, "tsa_distributed_day")
         reported = [op["result"]["stamp"] for op in report["ops"] if op["op"] == "anchor_day"]
-        stamps, _ = load_stamps(STAMPS_FILE.read_text())
-        assert [s.stamp.hex() for s in stamps] == reported
+        assert [s.block_id.hex() for s, _ in load_stamps(STAMPS_FILE.read_text())] == reported
 
     @pytest.mark.parametrize(
-        "line,key,period",
-        [(2, "items", 1), (1, "items", 0), (1, "stamp", 0), (2, "items_root", 1)],
+        "line,key,period,reason",
+        [
+            (2, "items", 1, "merkle_mismatch"),
+            (1, "items", 0, "merkle_mismatch"),
+            (1, "block_id", 0, "load: line 1: stated block_id does not match"),
+            (2, "merkle_root", 1, "load: line 2: stated block_id does not match"),
+            (1, "wall_time", 0, "load: line 1: stated block_id does not match"),
+            (2, "wall_time", 1, "load: line 2: stated block_id does not match"),
+        ],
     )
-    def test_one_flipped_byte_fails_at_its_period(self, line, key, period):
-        tampered = flip(STAMPS_FILE.read_text(), line, key)
-        assert first_bad_period(*load_stamps(tampered)) == period
+    def test_one_flipped_byte_fails_at_its_period(self, line, key, period, reason):
+        text = STAMPS_FILE.read_text()
+        tampered = flip(text, line, key)
+        assert len(tampered) == len(text) and tampered != text
+        got_period, got_reason = first_bad_period(tampered)
+        assert got_period == period and got_reason.startswith(reason)
+
+    def test_a_rewritten_wall_time_with_its_id_restated_breaks_the_next_link(self):
+        # before: the stamp did not commit to wall_time, so this verified
+        (s0, items0), period1 = load_stamps(STAMPS_FILE.read_text())
+        rewritten = dump_stamps([(replace(s0, wall_time=s0.wall_time + 1), items0), period1])
+        assert first_bad_period(rewritten) == (1, "link_broken")
 
 
 @pytest.mark.parametrize(
@@ -276,7 +300,7 @@ class TestStampFile:
     [
         (TSA_FILE, lambda: build_tsa_ledger().chain.to_jsonl()),
         (QUORUM_FILE, lambda: build_quorum_chain().to_jsonl()),
-        (STAMPS_FILE, lambda: dump_stamps(*build_stamps())),
+        (STAMPS_FILE, lambda: dump_stamps(build_stamps())),
     ],
     ids=["tsa", "quorum", "stamps"],
 )

@@ -627,10 +627,20 @@ class TestPolicyFile:
         assert st.get_item("acct").value == b"100"
         assert len(st.audit) == 0
 
-    def test_load_rejects_unknown_builtin(self):
+    @pytest.mark.parametrize(
+        "section,entry",
+        [
+            ("tps", {"id": "x", "builtin": "rm_rf", "certified_by": "certifier"}),
+            ("tps", {"id": "x", "builtin": "set_value", "certified_by": "certifier"}),
+            ("ivps", {"item": "balance", "builtin": "is_int"}),
+            ("ivps", {"item": "balance", "builtin": "utf8"}),
+        ],
+        ids=["rm_rf", "set_value", "is_int", "utf8"],
+    )
+    def test_load_rejects_unknown_builtin(self, section, entry):
         doc = dict(self.DOC)
-        doc["tps"] = [{"id": "x", "builtin": "rm_rf", "certified_by": "certifier"}]
-        with pytest.raises(ig.IntegrityError):
+        doc[section] = [entry]
+        with pytest.raises(ig.IntegrityError, match=rf"^{section}\[0\]: unknown builtin"):
             load_policy(doc)
 
     @pytest.mark.parametrize(
@@ -641,8 +651,6 @@ class TestPolicyFile:
             ("subjects", "biba_level", 2.9),
             ("subjects", "biba_level", "3"),
             ("subjects", "biba_level", True),
-            ("subjects", "public_key", "zz"),
-            ("subjects", "public_key", 5),
             ("items", "biba_level", 1.5),
             ("items", "value", None),
             ("items", "value", 1.5),

@@ -765,3 +765,19 @@ class TestCsv:
         text = "id,buyer,seller,asset,quantity,price,day\nT1,alice,bob,BOND,10,100,0\n" + row + "\n"
         with pytest.raises(error, match=f"^trades row 3: {message}"):
             st.trades_from_csv(text)
+
+    @pytest.mark.parametrize(
+        "row,column",
+        [
+            ("T2,bob,carol,BOND,1_000,100,0", "quantity"),
+            ("T2,bob,carol,BOND,4,100,+0", "day"),
+            ("T2,bob,carol,BOND,4, 5,0", "price"),
+            ("T2,bob,carol,BOND,\uff15,100,0", "quantity"),
+        ],
+    )
+    def test_a_number_is_ascii_digits_with_an_optional_minus(self, row, column):
+        # before: int() took the underscore, the plus sign, the space and the
+        # fullwidth digit
+        text = "id,buyer,seller,asset,quantity,price,day\nT1,alice,bob,BOND,10,100,0\n" + row + "\n"
+        with pytest.raises(st.SettlementError, match=f"^trades row 3: {column} must be"):
+            st.trades_from_csv(text)
