@@ -32,10 +32,8 @@ object with the same bytes, already checked in this process. A copy
 (replace, deepcopy, pickle, an import) or a mutated field is verified and
 hashed again. Create and import check each tx_id, and the first verify of
 that transaction reuses the check instead of hashing again. verify_chain
-first checks, in one crypto.verify_many batch, every transaction signature
-not yet accepted, so a cold chain is verified on every CPU the process may
-run on, by children forked for that batch alone; its walk then meets only
-memos.
+verifies each signature inline, once, as its walk reaches it, and stops at
+the first bad block.
 """
 
 from __future__ import annotations
@@ -72,6 +70,7 @@ R_QUORUM = "quorum_not_met"
 R_POW = "pow_target_missed"
 R_EMPTY = "empty_block"
 R_CLOCK = "clock_regression"
+R_NONCE = "nonce_not_zero"  # verify_stamps only: a stamp's nonce is 0
 
 
 class ChainError(Exception):
@@ -566,6 +565,8 @@ def verify_stamps(periods: Sequence[tuple[BlockHeader, Sequence[bytes]]]) -> Ver
     for height, (stamp, items) in enumerate(periods):
         if stamp.height != height:
             reason = R_HEIGHT
+        elif stamp.nonce != 0:
+            reason = R_NONCE
         elif stamp.prev_hash != (ZERO32 if prev is None else prev.block_id):
             reason = R_LINK
         elif prev is not None and stamp.wall_time < prev.wall_time:
@@ -594,7 +595,6 @@ def verify_chain(blocks: Sequence[Block], config: ChainConfig) -> VerifyResult:
     """
     if not blocks:
         return VerifyResult(False, 0, R_BAD_GENESIS)
-    _verify_new_signatures(blocks)
     seen: set[bytes] = set()
     parent_id = ZERO32
     for height, block in enumerate(blocks):
@@ -604,26 +604,6 @@ def verify_chain(blocks: Sequence[Block], config: ChainConfig) -> VerifyResult:
         seen.update(tx.tx_id for tx in block.txs)
         parent_id = block.block_id
     return VerifyResult(True)
-
-
-def _verify_new_signatures(blocks: Sequence[Block]) -> None:
-    """Check in one crypto.verify_many batch every transaction signature not
-    yet accepted in this process, and memoize those Ed25519 accepts.
-
-    The walk then finds them memoized. A transaction that fails here, or
-    whose content does not hash to its id, is left for the walk to reject.
-    """
-    pending = []
-    for block in blocks:
-        for tx in block.txs:
-            if tx._verified is None or tx._verified[1] is None:
-                signing = tx.signing_bytes()
-                if tx._id_matches(signing):
-                    pending.append((tx, signing))
-    accepted = crypto.verify_many([(tx.author_pk, signing, tx.signature) for tx, signing in pending])
-    for (tx, _), ok in zip(pending, accepted):
-        if ok:
-            object.__setattr__(tx, "_verified", (tx._verified[0], tx.signature))
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,8 @@
 
 Everything here is deterministic: the same inputs always produce the same
 bytes. All digests are 32-byte double SHA-256 values, rendered as 64
-lowercase hex characters wherever they leave the process. verify_many
-checks a large batch of signatures on every CPU, in children forked for
-that batch and reaped before it returns.
+lowercase hex characters wherever they leave the process. Each signature
+is verified inline, in the calling process.
 """
 
 from __future__ import annotations
@@ -12,9 +11,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import os
-import signal
-import threading
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -26,7 +22,6 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 
 HASH_LEN = 32
 SEED_LEN = 32
-SIG_LEN = 64
 ZERO32 = b"\x00" * HASH_LEN
 
 LEFT = "left"
@@ -130,12 +125,10 @@ def merkle_prove(leaves: Sequence[bytes], index: int) -> MerkleProof:
     pos = index
     path: list[tuple[bytes, str]] = []
     while len(level) > 1:
-        if len(level) % 2 == 1:
-            level = level + [level[-1]]
-        sibling_pos = pos ^ 1
-        side = LEFT if sibling_pos < pos else RIGHT
-        path.append((level[sibling_pos], side))
-        level = [sha256d(level[i] + level[i + 1]) for i in range(0, len(level), 2)]
+        # the odd last node's sibling is itself, as _next_level pads it
+        sibling = level[min(pos ^ 1, len(level) - 1)]
+        path.append((sibling, LEFT if pos & 1 else RIGHT))
+        level = _next_level(level)
         pos //= 2
     return MerkleProof(leaf_index=index, path=tuple(path))
 
@@ -202,80 +195,3 @@ def verify(public: bytes, message: bytes, signature: bytes) -> bool:
     except (InvalidSignature, ValueError, TypeError):
         return False
 
-
-# Below this many signatures a batch is verified inline. One fork, pipe and
-# reap costs 1-7 ms in a 30-45 MB process on 2-vCPU virtual machines, the
-# price of 5-20 verifies there, a small part of a forked share of 128 or more.
-PARALLEL_MIN = 256
-
-
-def _verify_share(items: Sequence[tuple[bytes, bytes, bytes]]) -> list[bool]:
-    return [verify(*item) for item in items]
-
-
-def _fork_share(share: Sequence[tuple[bytes, bytes, bytes]]) -> tuple[int, int] | None:
-    """Fork a child that verifies share and writes one byte per triple down a
-    pipe: (its pid, the pipe's read end), or None if no child could start."""
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        return None
-    if pid:
-        os.close(write)
-        return pid, read
-    code = 1  # the child inherits the share, and never returns
-    try:
-        with open(write, "wb") as pipe:
-            pipe.write(bytes(_verify_share(share)))
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _answer(pid: int, read: int, size: int) -> list[bool] | None:
-    """Read and reap one child: its size answers, or None if it did not exit
-    0 or answered short."""
-    try:
-        with open(read, "rb") as pipe:
-            answer = pipe.read()
-    finally:
-        status = os.waitpid(pid, 0)[1]
-    return list(map(bool, answer)) if status == 0 and len(answer) == size else None
-
-
-def verify_many(items: Sequence[tuple[bytes, bytes, bytes]]) -> list[bool]:
-    """[verify(*t) for t in items] over (public, message, signature) triples.
-
-    Ed25519 verification holds the interpreter lock, so a batch of at least
-    PARALLEL_MIN signatures is split into one contiguous share per CPU this
-    process may run on: this process verifies the first share and one forked
-    child each of the others. Every child is reaped before the call returns.
-    A share whose child could not start, did not exit 0 or answered short is
-    verified inline, so a True is never reported without a verify.
-    """
-    items = list(items)
-    # platforms without CPU affinity (macOS, Windows) verify inline, and so
-    # does a process that runs other threads: forking it can deadlock
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    if len(items) < PARALLEL_MIN or cpus < 2 or threading.active_count() > 1:
-        return _verify_share(items)
-    size = -(-len(items) // cpus)
-    shares = [items[i : i + size] for i in range(0, len(items), size)]
-    children: list[tuple[int, int] | None] = []
-    try:
-        for share in shares[1:]:
-            children.append(_fork_share(share))
-        results = _verify_share(shares[0])
-        for share in shares[1:]:
-            child = children.pop(0)
-            answer = None if child is None else _answer(*child, len(share))
-            results += _verify_share(share) if answer is None else answer
-        return results
-    finally:
-        for pid, read in filter(None, children):  # left by an exception
-            os.close(read)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)

@@ -548,6 +548,13 @@ _LOADERS: dict[str, Callable[[PolicyState, Mapping[str, Any]], None]] = {
     "ivps": lambda state, ivp: state.register_ivp(ivp["item"], _builtin(BUILTIN_IVPS, ivp["builtin"], "ivp")),
     "triples": lambda state, tr: state.add_triple(Triple.of(tr["subject"], tr["tp"], tr["cdis"])),
 }
+_KEYS = {
+    "subjects": {"id", "biba_level", "privileged"},
+    "items": {"id", "class", "biba_level", "value"},
+    "tps": {"id", "builtin", "certified_by"},
+    "ivps": {"item", "builtin"},
+    "triples": {"subject", "tp", "cdis"},
+}
 
 
 def load_policy(doc: Mapping[str, Any]) -> PolicyState:
@@ -561,10 +568,14 @@ def load_policy(doc: Mapping[str, Any]) -> PolicyState:
          "triples":  [{"subject", "tp", "cdis": [...]}]}
 
     Levels are ints, `privileged` a bool and an item `value` text or an int
-    (kept as its decimal text). A refusal names its entry: "items[1]: ...".
+    (kept as its decimal text). Any other section or key is refused. A
+    refusal names its entry: "items[1]: ...".
     """
     if not isinstance(doc, Mapping):
         raise IntegrityError(f"policy document must be an object, got {doc!r}")
+    unknown = [section for section in doc if section not in _KEYS]
+    if unknown:
+        raise IntegrityError(f"policy document: unknown section {unknown[0]!r}")
     state = PolicyState()
     for section, load in _LOADERS.items():
         entries = doc.get(section, [])
@@ -574,6 +585,9 @@ def load_policy(doc: Mapping[str, Any]) -> PolicyState:
             try:
                 if not isinstance(entry, Mapping):
                     raise IntegrityError(f"entry must be an object, got {entry!r}")
+                unknown = [key for key in entry if key not in _KEYS[section]]
+                if unknown:
+                    raise IntegrityError(f"unknown key {unknown[0]!r}")
                 load(state, entry)
             except IntegrityError as exc:
                 raise type(exc)(f"{section}[{index}]: {exc}") from None

@@ -535,8 +535,10 @@ class TestPeriodStamp:
             (1, lambda s, items: (s, items + [b"more"]), ch.R_TX_COUNT),
             (1, lambda s, items: (replace(s, tx_count=0), []), ch.R_EMPTY),
             (1, lambda s, items: (s, [b"B"]), ch.R_MERKLE),
+            (0, lambda s, items: (replace(s, nonce=7), items), ch.R_NONCE),
+            (2, lambda s, items: (replace(s, nonce=7), items), ch.R_NONCE),
         ],
-        ids=["genesis-link", "height", "link", "clock", "count", "empty", "merkle"],
+        ids=["genesis-link", "height", "link", "clock", "count", "empty", "merkle", "first-nonce", "last-nonce"],
     )
     def test_fault_is_reported_at_its_period(self, period, tamper, reason):
         periods = stamped([b"a"], [b"b"], [b"c"])
@@ -1052,11 +1054,10 @@ class TestImportHashesOnce:
 
 @pytest.fixture(scope="module")
 def large_chain() -> tuple[str, ChainConfig]:
-    """JSONL of a chain with enough transactions for verify_chain to hand
-    shares to worker processes."""
+    """JSONL of a chain of six blocks of 50 transactions each."""
     c = Chain(quorum_config())
     grow(c, 6, txs_per_block=50)
-    assert len(c.tx_ids) >= crypto.PARALLEL_MIN
+    assert len(c.tx_ids) == 300
     return c.to_jsonl(), c.config
 
 
@@ -1074,9 +1075,9 @@ def _tampered(blocks: list[Block], height: int, what: str) -> None:
         blocks[height] = Block(block.header, block.txs, (ap,) + block.approvals[1:])
 
 
-class TestParallelVerify:
-    """A cold chain large enough for worker processes verifies to the same
-    result, height and reason as on one CPU."""
+class TestColdImportVerify:
+    """A cold import of a 300-transaction chain verifies each signature
+    inline, and reports a tampered block at its height with its reason."""
 
     @pytest.mark.parametrize("height", [1, 6])
     @pytest.mark.parametrize(
@@ -1089,32 +1090,25 @@ class TestParallelVerify:
             ("approval", ch.R_APPROVAL_SIG),
         ],
     )
-    def test_same_result_as_inline(self, large_chain, cpus, height, what, reason):
+    def test_tamper_is_reported_at_its_height(self, large_chain, height, what, reason):
         text, config = large_chain
-        results = []
-        for n_cpus in (1, 2):
-            cpus(n_cpus)
-            blocks = Chain.from_jsonl(text, config).blocks
-            if what:
-                _tampered(blocks, height, what)
-            results.append(verify_chain(blocks, config))
-        expected = ch.VerifyResult(True) if what is None else ch.VerifyResult(False, height, reason)
-        assert results == [expected, expected]
-
-    def test_tx_failing_in_a_worker_stays_unmemoized(self, large_chain, cpus):
-        text, config = large_chain
-        cpus(2)
         blocks = Chain.from_jsonl(text, config).blocks
-        _tampered(blocks, 1, "signature")  # the walk stops here
-        _tampered(blocks, 6, "signature")  # checked only in the worker's share
-        assert verify_chain(blocks, config) == ch.VerifyResult(False, 1, ch.R_TX_SIG)
-        *good, bad = blocks[6].txs
-        assert bad._verified[1] is None and not bad.verify()
-        assert all(t._verified[1] == t.signature for t in good)
+        if what:
+            _tampered(blocks, height, what)
+        expected = ch.VerifyResult(True) if what is None else ch.VerifyResult(False, height, reason)
+        assert verify_chain(blocks, config) == expected
 
-    def test_memoized_chain_sends_nothing_to_verify(self, large_chain, cpus, verifies):
+    def test_walk_stopped_at_a_bad_block_leaves_later_txs_unverified(self, large_chain, verifies):
         text, config = large_chain
-        cpus(2)
+        blocks = Chain.from_jsonl(text, config).blocks
+        _tampered(blocks, 1, "signature")
+        assert verify_chain(blocks, config) == ch.VerifyResult(False, 1, ch.R_TX_SIG)
+        later = [t for b in blocks[2:] for t in b.txs]
+        assert all(t._verified[1] is None for t in later)
+        assert not {t.signature for t in later} & {sig for _, _, sig in verifies}
+
+    def test_memoized_chain_sends_nothing_to_verify(self, large_chain, verifies):
+        text, config = large_chain
         imported = Chain.from_jsonl(text, config)
         assert imported.verify().valid
         verifies.clear()

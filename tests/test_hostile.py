@@ -171,7 +171,7 @@ def test_trades_csv_mutations_escape_only_naming_their_row():
 
 POLICY = {
     "subjects": [
-        {"id": "ops", "biba_level": 2, "public_key": "ab" * 32},
+        {"id": "ops", "biba_level": 2},
         {"id": "certifier", "biba_level": 2},
         {"id": "admin", "biba_level": 2, "privileged": True},
     ],
@@ -189,7 +189,7 @@ POLICY = {
         {"subject": "ops", "tp": "sanitize", "cdis": ["feed"]},
     ],
 }
-POLICY_KEYS = ["id", "biba_level", "privileged", "public_key", "class", "value", "builtin", "certified_by", "item", "subject", "tp", "cdis"]
+POLICY_KEYS = ["id", "biba_level", "privileged", "class", "value", "builtin", "certified_by", "item", "subject", "tp", "cdis"]
 POSITION = re.compile(r"^(subjects|items|tps|ivps|triples)(\[\d+\])?: ")
 
 

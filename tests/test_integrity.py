@@ -669,6 +669,19 @@ class TestPolicyFile:
         with pytest.raises(ig.IntegrityError, match=rf"^{section}\[{len(doc[section]) - 1}\]: "):
             load_policy(doc)
 
+    @pytest.mark.parametrize("section", sorted(DOC))
+    def test_load_refuses_an_unknown_key_naming_its_entry(self, section):
+        # before: the key was ignored, so {"id": "a", "biba_levle": 3} loaded a at level 0
+        doc = {key: [dict(entry) for entry in entries] for key, entries in self.DOC.items()}
+        doc[section][0]["biba_levle"] = 3
+        with pytest.raises(ig.IntegrityError, match=rf"^{section}\[0\]: unknown key 'biba_levle'$"):
+            load_policy(doc)
+
+    def test_load_refuses_an_unknown_section(self):
+        # before: a misspelt section loaded an empty policy
+        with pytest.raises(ig.IntegrityError, match=r"^policy document: unknown section 'subjcts'$"):
+            load_policy({"subjcts": [{"id": "a"}]})
+
     @pytest.mark.parametrize("entry", [5, "ops", ["id", "ops"], None])
     def test_load_refuses_an_entry_that_is_not_an_object(self, entry):
         # before: a bare TypeError or AttributeError

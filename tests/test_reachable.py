@@ -10,7 +10,8 @@ does a test. The few names kept for tests and for later work are listed in
 ALLOWED, each with its reason.
 
 A second scan, over the tests too, refuses an import that its file never
-uses as a name.
+uses as a name. A third refuses a pytest fixture, in tests/conftest.py or
+a test file, that no test or fixture requests.
 """
 
 import ast
@@ -18,7 +19,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SCANNED = (ROOT / "src" / "ledgerstack", ROOT / "perfbench")
-IMPORTING = (*SCANNED, ROOT / "tests")
+TESTS = ROOT / "tests"
+IMPORTING = (*SCANNED, TESTS)
 
 ALLOWED = {
     "OrderBook.depth": "read-only accessor that tests use to observe the book",
@@ -148,3 +150,38 @@ def test_the_import_scan_counts_names_not_strings(tmp_path):
     )
     (tmp_path / "__init__.py").write_text("from m import f\n")
     assert unused_imports([tmp_path]) == ["m.py:4 struct", "m.py:5 Mapping"]
+
+
+def unrequested_fixtures(root=TESTS) -> list[str]:
+    """Each fixture that no function takes as a parameter, as "file:line
+    name"."""
+    defined, requested = [], set()
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            requested.update(arg.arg for arg in node.args.args + node.args.kwonlyargs)
+            for decorator in node.decorator_list:
+                target = decorator.func if isinstance(decorator, ast.Call) else decorator
+                if isinstance(target, ast.Attribute) and target.attr == "fixture":
+                    defined.append((f"{path.relative_to(root)}:{node.lineno}", node.name))
+    return [f"{where} {name}" for where, name in defined if name not in requested]
+
+
+def test_every_fixture_is_requested():
+    assert unrequested_fixtures() == []
+
+
+def test_the_fixture_scan_counts_parameters(tmp_path):
+    (tmp_path / "conftest.py").write_text(
+        "import pytest\n\n"
+        "@pytest.fixture\ndef used():\n    return 1\n\n"
+        "@pytest.fixture(scope='module')\ndef idle():\n    return 'used'\n"
+    )
+    (tmp_path / "test_m.py").write_text(
+        "import pytest\n\n"
+        "@pytest.fixture\ndef helper(used):\n    return used\n\n"
+        "class TestM:\n    def test_m(self, helper):\n        assert helper\n"
+    )
+    assert unrequested_fixtures(tmp_path) == ["conftest.py:8 idle"]
