@@ -536,9 +536,13 @@ class TestPeriodStamp:
             (1, lambda s, items: (replace(s, tx_count=0), []), ch.R_EMPTY),
             (1, lambda s, items: (s, [b"B"]), ch.R_MERKLE),
             (0, lambda s, items: (replace(s, nonce=7), items), ch.R_NONCE),
+            (1, lambda s, items: (replace(s, nonce=1), items), ch.R_NONCE),
             (2, lambda s, items: (replace(s, nonce=7), items), ch.R_NONCE),
         ],
-        ids=["genesis-link", "height", "link", "clock", "count", "empty", "merkle", "first-nonce", "last-nonce"],
+        ids=[
+            "genesis-link", "height", "link", "clock", "count", "empty", "merkle",
+            "first-nonce", "middle-nonce", "last-nonce",
+        ],
     )
     def test_fault_is_reported_at_its_period(self, period, tamper, reason):
         periods = stamped([b"a"], [b"b"], [b"c"])
@@ -1098,14 +1102,22 @@ class TestColdImportVerify:
         expected = ch.VerifyResult(True) if what is None else ch.VerifyResult(False, height, reason)
         assert verify_chain(blocks, config) == expected
 
-    def test_walk_stopped_at_a_bad_block_leaves_later_txs_unverified(self, large_chain, verifies):
+    @pytest.mark.parametrize("height", [1, 3])
+    @pytest.mark.parametrize("what", ["payload", "signature", "merkle_root", "approval"])
+    def test_walk_stopped_at_a_bad_block_leaves_later_txs_unverified(self, large_chain, verifies, height, what):
         text, config = large_chain
         blocks = Chain.from_jsonl(text, config).blocks
-        _tampered(blocks, 1, "signature")
-        assert verify_chain(blocks, config) == ch.VerifyResult(False, 1, ch.R_TX_SIG)
-        later = [t for b in blocks[2:] for t in b.txs]
+        _tampered(blocks, height, what)
+        assert not verify_chain(blocks, config).valid
+        later = [t for b in blocks[height + 1 :] for t in b.txs]
         assert all(t._verified[1] is None for t in later)
         assert not {t.signature for t in later} & {sig for _, _, sig in verifies}
+        # every transaction up to the bad block is verified once, in order;
+        # a payload that no longer hashes to its id fails before Ed25519
+        reached = [t.signature for b in blocks[: height + 1] for t in b.txs]
+        if what == "payload":
+            reached.pop()
+        assert [sig for _, _, sig in verifies if sig in set(reached)] == reached
 
     def test_memoized_chain_sends_nothing_to_verify(self, large_chain, verifies):
         text, config = large_chain

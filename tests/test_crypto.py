@@ -257,6 +257,38 @@ class TestSignatures:
         assert verify(kp.public, b"m", b"short") is False
         assert verify(b"", b"m", b"") is False
 
+    @pytest.mark.parametrize(
+        "bend, expected",
+        [
+            (lambda pk, m, sig: (pk, memoryview(m), sig), True),
+            (lambda pk, m, sig: (pk, m, bytearray(sig)), True),
+            (lambda pk, m, sig: (pk, m, bytes([sig[0] ^ 1]) + sig[1:]), False),
+            (lambda pk, m, sig: (pk, m, sig + b"\x00"), False),
+            (lambda pk, m, sig: (None, m, sig), False),
+            (lambda pk, m, sig: (pk, None, sig), False),
+            (lambda pk, m, sig: (pk, m, None), False),
+            (lambda pk, m, sig: (pk, m.decode(), sig), False),
+            (lambda pk, m, sig: (pk, m, 5), False),
+            (lambda pk, m, sig: (pk, m, sig.hex()), False),
+        ],
+        ids=[
+            "memoryview-message",
+            "bytearray-signature",
+            "flipped-bit",
+            "long-signature",
+            "none-key",
+            "none-message",
+            "none-signature",
+            "text-message",
+            "int-signature",
+            "hex-signature",
+        ],
+    )
+    def test_each_input_kind_answers_a_bool(self, bend, expected):
+        # a chain walk hands every signature to verify: none of these may raise
+        kp = keygen(SEED1)
+        assert verify(*bend(kp.public, b"m", sign(kp.secret, b"m"))) is expected
+
     def test_bad_seed_length(self):
         with pytest.raises(BadSeed):
             keygen(b"\x01" * 31)

@@ -677,6 +677,18 @@ class TestPolicyFile:
         with pytest.raises(ig.IntegrityError, match=rf"^{section}\[0\]: unknown key 'biba_levle'$"):
             load_policy(doc)
 
+    @pytest.mark.parametrize(
+        "section,key",
+        [("subjects", "cdis"), ("items", "privileged"), ("tps", "item"), ("ivps", "certified_by"), ("triples", "biba_level")],
+    )
+    def test_load_refuses_a_key_that_belongs_to_another_section(self, section, key):
+        # each section has its own keys: one known elsewhere is still unknown here
+        doc = {key_: [dict(entry) for entry in entries] for key_, entries in self.DOC.items()}
+        doc[section][-1][key] = self.DOC["subjects"][2]["privileged"] if key == "privileged" else 1
+        last = len(doc[section]) - 1
+        with pytest.raises(ig.IntegrityError, match=rf"^{section}\[{last}\]: unknown key '{key}'$"):
+            load_policy(doc)
+
     def test_load_refuses_an_unknown_section(self):
         # before: a misspelt section loaded an empty policy
         with pytest.raises(ig.IntegrityError, match=r"^policy document: unknown section 'subjcts'$"):

@@ -17,6 +17,8 @@ a test file, that no test or fixture requests.
 import ast
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 SCANNED = (ROOT / "src" / "ledgerstack", ROOT / "perfbench")
 TESTS = ROOT / "tests"
@@ -152,19 +154,29 @@ def test_the_import_scan_counts_names_not_strings(tmp_path):
     assert unused_imports([tmp_path]) == ["m.py:4 struct", "m.py:5 Mapping"]
 
 
+def _is_autouse(decorator: ast.expr) -> bool:
+    return isinstance(decorator, ast.Call) and any(
+        kw.arg == "autouse" and isinstance(kw.value, ast.Constant) and kw.value.value is True
+        for kw in decorator.keywords
+    )
+
+
 def unrequested_fixtures(root=TESTS) -> list[str]:
-    """Each fixture that no function takes as a parameter, as "file:line
-    name"."""
+    """Each fixture that no function takes as a parameter and no
+    usefixtures mark names, as "file:line name". An autouse fixture is
+    requested by every test in its scope."""
     defined, requested = [], set()
     for path in sorted(root.rglob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "usefixtures":
+                requested.update(arg.value for arg in node.args if isinstance(arg, ast.Constant))
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             requested.update(arg.arg for arg in node.args.args + node.args.kwonlyargs)
             for decorator in node.decorator_list:
                 target = decorator.func if isinstance(decorator, ast.Call) else decorator
-                if isinstance(target, ast.Attribute) and target.attr == "fixture":
+                if isinstance(target, ast.Attribute) and target.attr == "fixture" and not _is_autouse(decorator):
                     defined.append((f"{path.relative_to(root)}:{node.lineno}", node.name))
     return [f"{where} {name}" for where, name in defined if name not in requested]
 
@@ -185,3 +197,19 @@ def test_the_fixture_scan_counts_parameters(tmp_path):
         "class TestM:\n    def test_m(self, helper):\n        assert helper\n"
     )
     assert unrequested_fixtures(tmp_path) == ["conftest.py:8 idle"]
+
+
+@pytest.mark.parametrize(
+    "request_",
+    [
+        "@pytest.fixture(autouse=True)\ndef used():\n    return 1\n",
+        "@pytest.fixture\ndef used():\n    return 1\n\n@pytest.mark.usefixtures('used')\ndef test_m():\n    pass\n",
+        "@pytest.fixture\ndef used():\n    return 1\n\npytestmark = pytest.mark.usefixtures('used')\n",
+    ],
+    ids=["autouse", "usefixtures-mark", "usefixtures-module-mark"],
+)
+def test_the_fixture_scan_counts_requests_without_a_parameter(tmp_path, request_):
+    (tmp_path / "test_m.py").write_text(
+        "import pytest\n\n" + request_ + "\n@pytest.fixture(autouse=False)\ndef idle():\n    return 'used'\n"
+    )
+    assert [line.split(" ")[1] for line in unrequested_fixtures(tmp_path)] == ["idle"]
