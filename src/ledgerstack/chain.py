@@ -353,8 +353,8 @@ def validate_block(
 
     seen holds the tx ids recorded below this block and is not modified.
     config None checks a draft that build_block derived from its
-    transactions: the merkle root and the consensus evidence (approvals or
-    work) are left to the append. The genesis block needs no evidence.
+    transactions: the consensus evidence (approvals or work) is left to the
+    append. The genesis block needs no evidence.
     """
     h = block.header
     if h.height != height:
@@ -370,7 +370,7 @@ def validate_block(
     # A verified transaction hashes to its stated id; only a failed one
     # needs its id recomputed from its canonical bytes.
     ids = tuple(tx.tx_id if ok else sha256d(tx.signing_bytes()) for tx, ok in zip(txs, verified))
-    if config is not None and not h.root_matches(ids):
+    if not h.root_matches(ids):
         return R_MERKLE
     in_block: set[bytes] = set()
     for tx, ok, rid in zip(txs, verified, ids):

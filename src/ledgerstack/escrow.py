@@ -19,7 +19,7 @@ through every state change.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Sequence
 
 from . import crypto
 
@@ -137,51 +137,6 @@ def signing_bytes(address: bytes, disposition: str) -> bytes:
 Balances = dict[bytes, int]
 
 
-def check_terms(buyer: Any, seller: Any, arbiter: Any, amount: Any, fee: Any) -> None:
-    """Reject terms no escrow may hold: shared keys, or money that is not
-    an integer with 0 <= fee <= amount and amount > 0."""
-    if len({buyer, seller, arbiter}) != 3:
-        raise DuplicateKey("buyer, seller, and arbiter keys must be distinct")
-    if not crypto.is_money(amount):
-        raise EscrowError("escrow amount must be a positive integer")
-    if not crypto.is_money_or_zero(fee):
-        raise EscrowError("fee must be a non-negative integer")
-    if fee > amount:
-        raise FeeTooLarge(f"fee {fee} exceeds escrow amount {amount}")
-
-
-def _party_keys(escrow: Escrow) -> dict[str, bytes]:
-    return {BUYER: escrow.buyer_pk, SELLER: escrow.seller_pk, ARBITER: escrow.arbiter_pk}
-
-
-def cast_vote(escrow: Escrow, signer_pk: bytes, signature: bytes, disposition: str) -> dict:
-    """Record one party's vote; the second distinct backer of a disposition
-    resolves the escrow. A party may re-sign its own disposition (no-op)
-    but never the opposite one. Returns the outcome once resolved, else
-    the open status and vote count.
-    """
-    if escrow.status != OPEN:
-        raise AlreadyFinal(f"escrow is {escrow.status}")
-    if disposition not in DISPOSITIONS:
-        raise EscrowError(f"unknown disposition {disposition!r}")
-    role = {pk: r for r, pk in _party_keys(escrow).items()}.get(signer_pk)
-    if role is None:
-        raise NotParty("signer is not a party to this escrow")
-    if not crypto.verify(signer_pk, signing_bytes(escrow.address, disposition), signature):
-        raise BadSignature(f"invalid {disposition} signature from {role}")
-    previous = dict(escrow.votes).get(role, disposition)
-    if previous != disposition:
-        raise ConflictingSignature(f"{role} already signed {previous}")
-    if [role, disposition] not in escrow.votes:
-        escrow.votes.append([role, disposition])
-        outcome = resolve_dispositions(escrow.votes, escrow.amount, escrow.fee)
-        if outcome is not None:
-            escrow.status = outcome["status"]
-            escrow.outcome = outcome
-            return outcome
-    return {"status": OPEN, "votes": len(escrow.votes)}
-
-
 @dataclass
 class Escrow:
     address: bytes
@@ -207,10 +162,19 @@ def open_escrow(
 ) -> Escrow:
     """Lock the buyer's funds at the escrow address.
 
-    An address already in balances, live or resolved, is refused: the
-    votes signed for it would replay on the new escrow.
+    Terms no escrow may hold are refused: shared keys, or money that is not
+    an integer with 0 <= fee <= amount and amount > 0. So is an address
+    already in balances, live or resolved: the votes signed for it would
+    replay on the new escrow.
     """
-    check_terms(buyer_pk, seller_pk, arbiter_pk, amount, fee)
+    if len({buyer_pk, seller_pk, arbiter_pk}) != 3:
+        raise DuplicateKey("buyer, seller, and arbiter keys must be distinct")
+    if not crypto.is_money(amount):
+        raise EscrowError("escrow amount must be a positive integer")
+    if not crypto.is_money_or_zero(fee):
+        raise EscrowError("fee must be a non-negative integer")
+    if fee > amount:
+        raise FeeTooLarge(f"fee {fee} exceeds escrow amount {amount}")
     address = derive_address(buyer_pk, seller_pk, arbiter_pk, amount, fee, nonce)
     if address in balances:
         raise AlreadyOpen(f"escrow {address.hex()} was already opened")
@@ -230,13 +194,32 @@ def sign_disposition(
     signature: bytes,
     disposition: str,
 ) -> Escrow:
-    """Record one party's vote (see cast_vote); pay out the locked amount
-    once the vote resolves the escrow."""
-    result = cast_vote(escrow, signer_pk, signature, disposition)
-    keys = _party_keys(escrow)
-    for role, amount in result.get("payouts", {}).items():
-        pk = keys[role]
-        balances[escrow.address] -= amount
-        balances[pk] = balances.get(pk, 0) + amount
+    """Record one party's vote; the second distinct backer of a disposition
+    resolves the escrow and pays out the locked amount. A party may re-sign
+    its own disposition (no-op) but never the opposite one.
+    """
+    if escrow.status != OPEN:
+        raise AlreadyFinal(f"escrow is {escrow.status}")
+    if disposition not in DISPOSITIONS:
+        raise EscrowError(f"unknown disposition {disposition!r}")
+    keys = {BUYER: escrow.buyer_pk, SELLER: escrow.seller_pk, ARBITER: escrow.arbiter_pk}
+    role = {pk: r for r, pk in keys.items()}.get(signer_pk)
+    if role is None:
+        raise NotParty("signer is not a party to this escrow")
+    if not crypto.verify(signer_pk, signing_bytes(escrow.address, disposition), signature):
+        raise BadSignature(f"invalid {disposition} signature from {role}")
+    previous = dict(escrow.votes).get(role, disposition)
+    if previous != disposition:
+        raise ConflictingSignature(f"{role} already signed {previous}")
+    if [role, disposition] in escrow.votes:
+        return escrow
+    escrow.votes.append([role, disposition])
+    outcome = resolve_dispositions(escrow.votes, escrow.amount, escrow.fee)
+    if outcome is not None:
+        escrow.status = outcome["status"]
+        escrow.outcome = outcome
+        for winner, amount in outcome["payouts"].items():
+            balances[escrow.address] -= amount
+            balances[keys[winner]] = balances.get(keys[winner], 0) + amount
     return escrow
 

@@ -345,11 +345,7 @@ class PolicyState:
     # -- guarded operations -----------------------------------------------------
 
     def execute_tp(
-        self,
-        subject_id: str,
-        tp_id: str,
-        cdi_ids: Sequence[str],
-        args: dict | None = None,
+        self, subject_id: str, tp_id: str, cdi_ids: Sequence[str], args: dict | None = None
     ) -> TpResult:
         """Run a certified TP over CDIs on behalf of a subject.
 
@@ -357,14 +353,35 @@ class PolicyState:
         level write check, the TP runs cleanly, and every post-TP
         validation predicate holds. Nothing is written on denial.
         """
-        args = args or {}
-        action = f"execute_tp:{tp_id}"
-        self._require_refs(subject_id, tp_id, cdi_ids, action)
-        targets = frozenset(cdi_ids)
+        return self._run_tp(subject_id, tp_id, cdi_ids, args, f"execute_tp:{tp_id}", promote=False)
+
+    def promote_udi(
+        self, subject_id: str, tp_id: str, udi_id: str, args: dict | None = None
+    ) -> TpResult:
+        """Upgrade an unconstrained item to constrained via a TP.
+
+        The TP sanitizes/derives the value; the item's validation
+        predicate must accept the result or the item stays a UDI.
+        """
+        return self._run_tp(subject_id, tp_id, (udi_id,), args, f"promote_udi:{tp_id}:{udi_id}", promote=True)
+
+    def _run_tp(
+        self, subject_id: str, tp_id: str, item_ids: Sequence[str], args: dict | None, action: str, promote: bool
+    ) -> TpResult:
+        """The one guarded pipeline: refs, item class, triple, level write
+        check, the TP, scope, each IVP, commit, audit. A promotion's target
+        must be a UDI (a CDI is audited and raises AlreadyConstrained), its
+        TP must return exactly that target, and its commit makes it a CDI."""
+        self._require_refs(subject_id, tp_id, item_ids, action)
+        targets = frozenset(item_ids)
         if not targets:
             return self._deny(subject_id, action, "no_targets")
         for item_id in sorted(targets):
-            if self._items[item_id].item_class != CDI:
+            is_cdi = self._items[item_id].item_class == CDI
+            if promote and is_cdi:
+                self.audit.append(subject_id, action, DENIED, "already_constrained")
+                raise AlreadyConstrained(f"item {item_id!r} is already a CDI")
+            if not promote and not is_cdi:
                 return self._deny(subject_id, action, f"not_constrained:{item_id}")
         if not self._match_triple(subject_id, tp_id, targets):
             return self._deny(subject_id, action, "no_matching_triple")
@@ -375,21 +392,25 @@ class PolicyState:
         current = {item_id: self._items[item_id].value for item_id in targets}
         fn = self._tps[tp_id][0]
         try:
-            new_values = fn(dict(current), args)
+            new_values = fn(current, args or {})
         except Exception as exc:  # a TP crash is a denial, never a corruption
             return self._deny(subject_id, action, f"tp_failed:{exc}")
-        if not isinstance(new_values, dict) or not set(new_values) <= targets or not all(
-            isinstance(v, bytes) for v in new_values.values()
+        if not (
+            isinstance(new_values, dict)
+            and (new_values.keys() == targets if promote else new_values.keys() <= targets)
+            and all(isinstance(v, bytes) for v in new_values.values())
         ):
             return self._deny(subject_id, action, "tp_scope_violation")
         for item_id in sorted(new_values):
             if not self._run_ivp(item_id, new_values[item_id]):
                 return self._deny(subject_id, action, f"ivp_failed:{item_id}")
         for item_id, value in new_values.items():
-            self._items[item_id].value = value
-        record = self.audit.append(
-            subject_id, action, ALLOWED, "cdis=" + ",".join(sorted(targets))
-        )
+            item = self._items[item_id]
+            item.value = value
+            if promote:
+                item.item_class = CDI
+        detail = "promoted" if promote else "cdis=" + ",".join(sorted(targets))
+        record = self.audit.append(subject_id, action, ALLOWED, detail)
         return TpResult(True, "ok", dict(new_values), record)
 
     def _run_ivp(self, item_id: str, value: bytes) -> bool:
@@ -400,48 +421,6 @@ class PolicyState:
             return bool(predicate(value))
         except Exception:
             return False
-
-    def promote_udi(
-        self,
-        subject_id: str,
-        tp_id: str,
-        udi_id: str,
-        args: dict | None = None,
-    ) -> TpResult:
-        """Upgrade an unconstrained item to constrained via a TP.
-
-        The TP sanitizes/derives the value; the item's validation
-        predicate must accept the result or the item stays a UDI.
-        """
-        args = args or {}
-        action = f"promote_udi:{tp_id}:{udi_id}"
-        self._require_refs(subject_id, tp_id, (udi_id,), action)
-        item = self._items[udi_id]
-        if item.item_class == CDI:
-            self.audit.append(subject_id, action, DENIED, "already_constrained")
-            raise AlreadyConstrained(f"item {udi_id!r} is already a CDI")
-        if not self._match_triple(subject_id, tp_id, frozenset({udi_id})):
-            return self._deny(subject_id, action, "no_matching_triple")
-        subject = self._subjects[subject_id]
-        if not biba_check(subject.biba_level, item.biba_level, WRITE):
-            return self._deny(subject_id, action, f"level_write_denied:{udi_id}")
-        fn = self._tps[tp_id][0]
-        try:
-            new_values = fn({udi_id: item.value}, args)
-        except Exception as exc:
-            return self._deny(subject_id, action, f"tp_failed:{exc}")
-        if (
-            not isinstance(new_values, dict)
-            or set(new_values) != {udi_id}
-            or not isinstance(new_values[udi_id], bytes)
-        ):
-            return self._deny(subject_id, action, "tp_scope_violation")
-        if not self._run_ivp(udi_id, new_values[udi_id]):
-            return self._deny(subject_id, action, f"ivp_failed:{udi_id}")
-        item.value = new_values[udi_id]
-        item.item_class = CDI
-        record = self.audit.append(subject_id, action, ALLOWED, "promoted")
-        return TpResult(True, "ok", dict(new_values), record)
 
     def alter_authorization(
         self, admin_id: str, triple: Triple, action: str

@@ -630,7 +630,7 @@ class _Cycle:
             return net_positions(legs)
         from . import contracts
 
-        budget = contracts.StepBudget(limit=10_000)
+        budget = contracts.StepBudget(limit=contracts.FIXED_INVOKE_STEPS + len(block_trades))
         rows = self.net_contract.invoke(self.net_addr, "net", {"trades": block_trades}, budget)
         return [NetPosition(**r) for r in rows["positions"]]
 

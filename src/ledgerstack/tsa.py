@@ -161,6 +161,7 @@ class TsaLedger:
         self.accounts: dict[str, TsaAccount] = {}
         self.day = 0
         self.pending_txs: list[Transaction] = []
+        self._pending_ids: set[bytes] = set()  # tx ids of pending_txs recorded through _record
         self._contracts = contracts_mod.ContractState()
         self._sweep_addr = self._contracts.deploy(
             "zba_sweep", {}, contracts_mod.StepBudget(limit=contracts_mod.FIXED_DEPLOY_STEPS), height=0
@@ -174,10 +175,11 @@ class TsaLedger:
             tx = Transaction.create(kind, payload, self.operator)
         except (TypeError, ValueError) as exc:
             raise TsaError(f"{kind} payload has no canonical JSON form: {exc}") from None
-        if any(p.tx_id == tx.tx_id for p in self.pending_txs):  # the day's block could not hold both
+        if tx.tx_id in self._pending_ids:  # the day's block could not hold both
             raise TsaError(f"{kind} repeats a transaction already recorded on day {self.day}")
         next_day = apply(self.accounts, self.day, kind, payload)
         self.pending_txs.append(tx)
+        self._pending_ids.add(tx.tx_id)
         return next_day
 
     @property
@@ -238,6 +240,7 @@ class TsaLedger:
         next_day = self._record(TX_DAY_CLOSE, close)
         accepted = self.chain.seal(self.pending_txs, self.day, self.operator)
         self.pending_txs = []
+        self._pending_ids.clear()
         self.day = next_day
         return accepted
 

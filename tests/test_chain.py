@@ -858,6 +858,7 @@ FAULTS = {
     "repeated_tx": (ch.R_DUP, _refused_build(lambda: [tx(0)])),
     "repeated_in_batch": (ch.R_DUP, _refused_build(lambda: [tx(50), tx(50)])),
     "forged_tx": (ch.R_TX_SIG, _refused_build(lambda: [replace(tx(50), signature=bytes(64))])),
+    "wrong_tx_id": (ch.R_MERKLE, _refused_build(lambda: [replace(tx(50), tx_id=tx(51).tx_id)])),
     "empty_block": (ch.R_EMPTY, _refused_build(lambda: [])),
     "missed_pow_target": (ch.R_POW, _missed_pow),
 }

@@ -181,38 +181,43 @@ class TestSigning:
             vote(balances, escrow, "arbiter", es.TO_SELLER)
 
 
-class TestCastVote:
-    """cast_vote on its own: the vote rules, read off the Escrow fields."""
-
-    def cast(self, escrow, who, disposition):
-        kp = KEYS[who]
-        sig = crypto.sign(kp.secret, es.signing_bytes(escrow.address, disposition))
-        return es.cast_vote(escrow, kp.public, sig, disposition)
+class TestVoteRules:
+    """sign_disposition's vote rules, read off the Escrow fields and the
+    balances."""
 
     def test_reports_open_votes_then_the_outcome(self):
-        _, escrow = fresh(amount=600, fee=30)
-        assert self.cast(escrow, "buyer", es.TO_BUYER) == {"status": es.OPEN, "votes": 1}
-        assert self.cast(escrow, "seller", es.TO_SELLER) == {"status": es.OPEN, "votes": 2}
-        outcome = self.cast(escrow, "arbiter", es.TO_SELLER)
-        assert outcome == es.resolve_dispositions(
+        balances, escrow = fresh(amount=600, fee=30)
+        opened = dict(balances)
+        vote(balances, escrow, "buyer", es.TO_BUYER)
+        assert (escrow.status, len(escrow.votes), escrow.outcome, balances) == (es.OPEN, 1, None, opened)
+        vote(balances, escrow, "seller", es.TO_SELLER)
+        assert (escrow.status, len(escrow.votes), escrow.outcome, balances) == (es.OPEN, 2, None, opened)
+        vote(balances, escrow, "arbiter", es.TO_SELLER)
+        outcome = es.resolve_dispositions(
             [("buyer", es.TO_BUYER), ("seller", es.TO_SELLER), ("arbiter", es.TO_SELLER)],
             600,
             30,
         )
         assert outcome["payouts"] == {"seller": 570, "arbiter": 30}
         assert (escrow.status, escrow.outcome, len(escrow.votes)) == (es.ARBITRATED, outcome, 3)
+        assert balances == {**opened, escrow.address: 0, SELLER_KP.public: 570, ARBITER_KP.public: 30}
 
-    def test_resign_same_reports_the_same_count(self):
-        _, escrow = fresh()
-        self.cast(escrow, "buyer", es.TO_SELLER)
-        assert self.cast(escrow, "buyer", es.TO_SELLER) == {"status": es.OPEN, "votes": 1}
+    def test_resign_same_keeps_the_same_count(self):
+        balances, escrow = fresh()
+        vote(balances, escrow, "buyer", es.TO_SELLER)
+        before = (dict(balances), copy.deepcopy(escrow))
+        assert vote(balances, escrow, "buyer", es.TO_SELLER) is escrow
+        assert (balances, escrow) == before
+        assert (escrow.status, len(escrow.votes)) == (es.OPEN, 1)
 
     def test_a_party_key_spelled_in_hex_is_not_a_party(self):
         # keys are compared as bytes; a hex string of the buyer's key is not it
-        _, escrow = fresh()
+        balances, escrow = fresh()
         sig = crypto.sign(BUYER_KP.secret, es.signing_bytes(escrow.address, es.TO_SELLER))
+        before = (dict(balances), copy.deepcopy(escrow))
         with pytest.raises(es.NotParty):
-            es.cast_vote(escrow, BUYER_KP.public.hex(), sig, es.TO_SELLER)
+            es.sign_disposition(balances, escrow, BUYER_KP.public.hex(), sig, es.TO_SELLER)
+        assert (balances, escrow) == before
         assert escrow.votes == []
 
     # (votes cast first, voter, disposition, disposition the signature covers,

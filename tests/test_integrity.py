@@ -110,11 +110,16 @@ class TestRule1CdisChangeOnlyThroughTps:
         assert not res.allowed and res.reason.startswith("tp_failed")
         assert st.get_item("acct").value == b"100"
 
-    def test_udi_target_denied(self):
+    @pytest.mark.parametrize("tp", ["credit", "sanitize"])
+    def test_udi_target_denied(self, tp):
+        # alice holds a triple over "raw" for both TPs: credit granted here,
+        # sanitize as its promotion triple; neither lets execute_tp write it
         st = base_state()
         st.add_triple(Triple.of("alice", "credit", {"raw"}))
-        res = st.execute_tp("alice", "credit", ["raw"], {"amount": 1})
+        res = st.execute_tp("alice", tp, ["raw"], {"amount": 1})
         assert not res.allowed and res.reason == "not_constrained:raw"
+        assert st.get_item("raw") == DataItem("raw", UDI, biba_level=1, value=b" 42 ")
+        assert (res.record.action, res.record.detail) == (f"execute_tp:{tp}", "not_constrained:raw")
 
 
 class TestRule2TriplesAndSeparationOfDuty:
@@ -273,7 +278,9 @@ class TestRule5Promotion:
         res = st.promote_udi("bob", "sanitize", "raw")
         assert not res.allowed and res.reason == "no_matching_triple"
 
-    @pytest.mark.parametrize("result", [None, ["raw"], 5])
+    # a promotion must return a value for exactly its target: not nothing,
+    # and not another item besides
+    @pytest.mark.parametrize("result", [None, ["raw"], 5, {}, {"raw": b"42", "acct": b"1"}])
     def test_non_dict_tp_result_is_denied(self, result):
         st = base_state()
         st.register_tp("odd", lambda values, args: result, certified_by="carol")

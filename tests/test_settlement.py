@@ -4,6 +4,7 @@ Netting results are checked against the quadratic recount in oracles.py;
 exposure series are checked against the closed form for constant flow.
 """
 
+import dataclasses
 import hashlib
 import pathlib
 import random
@@ -598,6 +599,20 @@ class TestRunCycle:
         )
         assert ccp.exposure_series == pool.exposure_series
         assert ccp.net_obligations == pool.net_obligations
+
+    @pytest.mark.parametrize("n", [9_990, 9_991])
+    def test_consortium_netting_budget_grows_with_the_day(self, n):
+        # before: a fixed 10,000-step budget against the net contract's
+        # 10 + 1 per trade raised OutOfSteps from 9,991 same-day trades
+        members = ("a", "b", "c")
+        block_trades = [
+            {"id": f"T{i}", "buyer": members[i % 3], "seller": members[(i + 1) % 3],
+             "asset": "BOND", "quantity": 1 + i % 5, "price": 100, "trade_day": 0}
+            for i in range(n)
+        ]
+        cycle = st._Cycle(st.CycleConfig(mode=st.MODE_CONSORTIUM), {})
+        positions = cycle._net(block_trades)
+        assert [dataclasses.asdict(p) for p in positions] == net_positions_oracle(block_trades)
 
     def test_fop_cycle_reports_unpaid_deliveries(self):
         report = st.run_cycle(

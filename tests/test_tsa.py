@@ -87,6 +87,16 @@ class TestFlows:
         assert tsa.replay(led.chain.blocks, led.chain.config) == led.state()
         assert led.record_receipt("main", 50) == 150  # the next day is another transaction
 
+    def test_a_refused_transaction_is_not_pending(self):
+        # the duplicate check knows only what was recorded: the same
+        # disbursement, refused once as an overdraft, records once covered
+        led = ledger_with_main(100)
+        with pytest.raises(tsa.Overdraft):
+            led.record_disbursement("main", 101)
+        led.record_receipt("main", 1)
+        assert led.record_disbursement("main", 101) == 0
+        assert [tx.kind for tx in led.pending_txs] == [tsa.TX_OPEN, tsa.TX_RECEIPT, tsa.TX_RECEIPT, tsa.TX_DISBURSEMENT]
+
     def test_overdraft(self):
         led = ledger_with_main(100)
         with pytest.raises(tsa.Overdraft):
