@@ -38,11 +38,6 @@ BOOKS = (
 DEBIT = "debit"
 CREDIT = "credit"
 
-ASSET = "asset"
-LIABILITY = "liability"
-INCOME = "income"
-EXPENSE = "expense"
-
 RECEIVABLES = "receivables"
 PAYABLES = "payables"
 
@@ -85,7 +80,6 @@ class PrimeEntry:
     date: str
     counterparty: str
     amount: int
-    memo: str = ""
 
     def __post_init__(self):
         if self.book not in BOOKS:
@@ -134,7 +128,6 @@ class EntryLine:
 class JournalEntry:
     date: str
     lines: tuple[EntryLine, ...]
-    memo: str = ""
 
     def __post_init__(self):
         if len(self.lines) < 2:
@@ -153,39 +146,22 @@ class JournalEntry:
             raise UnbalancedEntry(f"debits {debits} != credits {credits}")
 
 
-def simple_entry(date: str, debit_account: str, credit_account: str, amount: int, memo: str = "") -> JournalEntry:
+def simple_entry(date: str, debit_account: str, credit_account: str, amount: int) -> JournalEntry:
     return JournalEntry(
         date=date,
         lines=(
             EntryLine(debit_account, DEBIT, amount),
             EntryLine(credit_account, CREDIT, amount),
         ),
-        memo=memo,
     )
 
 
-@dataclass
-class GlAccount:
-    id: str
-    category: str
-    control_for: str = "none"
-    balance: int = 0  # signed, debit positive
-
-
-# Chart of accounts that the posting map posts to. control_for marks the
-# two control accounts.
-CHART: Mapping[str, tuple[str, str]] = {
-    "receivables_control": (ASSET, RECEIVABLES),
-    "payables_control": (LIABILITY, PAYABLES),
-    "sales": (INCOME, "none"),
-    "sales_returns": (INCOME, "none"),
-    "purchases": (EXPENSE, "none"),
-    "purchase_returns": (EXPENSE, "none"),
-    "cash_at_bank": (ASSET, "none"),
-    "petty_cash_float": (ASSET, "none"),
-    "sundry_expense": (EXPENSE, "none"),
-    "accruals": (LIABILITY, "none"),
-}
+# Chart of accounts that the posting map posts to; receivables_control and
+# payables_control are the two control accounts.
+CHART = frozenset(
+    "receivables_control payables_control sales sales_returns purchases purchase_returns "
+    "cash_at_bank petty_cash_float sundry_expense accruals".split()
+)
 
 # Day-total posting rule per book: (debit account, credit account,
 # subledger name or None, subledger sign). The standard meanings: credit
@@ -213,29 +189,26 @@ class ReconcileResult:
 
 class GeneralLedger:
     def __init__(self):
-        self.accounts: dict[str, GlAccount] = {}
+        self.balances: dict[str, int] = {}  # per opened account, signed, debit positive
         self.receivables: dict[str, int] = {}
         self.payables: dict[str, int] = {}
 
-    def _account(self, account_id: str) -> GlAccount:
-        if account_id not in self.accounts:
-            if account_id not in CHART:
-                raise UnknownAccount(f"account {account_id!r} is not in the chart")
-            category, control_for = CHART[account_id]
-            self.accounts[account_id] = GlAccount(account_id, category, control_for)
-        return self.accounts[account_id]
+    def _account(self, account_id: str) -> int:
+        """The account's balance, opening it at zero on first use."""
+        if account_id not in CHART:
+            raise UnknownAccount(f"account {account_id!r} is not in the chart")
+        return self.balances.setdefault(account_id, 0)
 
     def post(self, entry: JournalEntry) -> JournalEntry:
         # Validate every account before touching any balance.
         for line in entry.lines:
             self._account(line.account)
         for line in entry.lines:
-            acct = self.accounts[line.account]
-            acct.balance += line.amount if line.side == DEBIT else -line.amount
+            self.balances[line.account] += line.amount if line.side == DEBIT else -line.amount
         return entry
 
     def trial_balance(self) -> dict[str, int]:
-        return {aid: acct.balance for aid, acct in sorted(self.accounts.items())}
+        return dict(sorted(self.balances.items()))
 
     def reconcile_subledger(self, which: str) -> ReconcileResult:
         """Compare a control account with the sum of its subledger rows.
@@ -244,10 +217,10 @@ class GeneralLedger:
         totals are reported as positive magnitudes.
         """
         if which == RECEIVABLES:
-            control = self._account("receivables_control").balance
+            control = self._account("receivables_control")
             sub = sum(self.receivables.values())
         elif which == PAYABLES:
-            control = -self._account("payables_control").balance
+            control = -self._account("payables_control")
             sub = sum(self.payables.values())
         else:
             raise BankLedgerError(f"unknown subledger {which!r}")
@@ -270,7 +243,7 @@ def summarize_and_post(
             continue
         total = sum(e.amount for e in rows)
         debit_acct, credit_acct, subledger, sign = POSTING_MAP[book]
-        entry = simple_entry(date, debit_acct, credit_acct, total, memo=f"{book} day total")
+        entry = simple_entry(date, debit_acct, credit_acct, total)
         ledger.post(entry)
         posted.append(entry)
         if subledger:

@@ -46,7 +46,6 @@ from typing import AbstractSet, Any, Sequence
 from . import crypto
 from .crypto import ZERO32, canonical_json, sha256d
 
-HEADER_LEN = 92
 _HEADER_FMT = ">Q32s32sQIQ"
 
 MODE_QUORUM = "quorum"
@@ -71,6 +70,7 @@ R_POW = "pow_target_missed"
 R_EMPTY = "empty_block"
 R_CLOCK = "clock_regression"
 R_NONCE = "nonce_not_zero"  # verify_stamps only: a stamp's nonce is 0
+R_MALFORMED = "malformed_period"  # verify_stamps only: not an encodable (header, list of bytes) pair
 
 
 class ChainError(Exception):
@@ -558,11 +558,30 @@ def stamp_period(items: Sequence[bytes], prev: BlockHeader | None, wall_time: in
     )
 
 
+def _well_formed(period: Any) -> bool:
+    """Whether a period is a (BlockHeader, list or tuple of bytes) pair
+    whose header encodes."""
+    try:
+        stamp, items = period
+        stamp.block_id  # serialize_header checks ranges and hash lengths
+    except (TypeError, ValueError, AttributeError, struct.error, ChainError, crypto.CryptoError):
+        return False
+    return (
+        isinstance(stamp, BlockHeader)
+        and isinstance(items, (tuple, list))
+        and all(isinstance(item, (bytes, bytearray, memoryview)) for item in items)
+    )
+
+
 def verify_stamps(periods: Sequence[tuple[BlockHeader, Sequence[bytes]]]) -> VerifyResult:
     """Recompute a stamp chain from each period's (stamp, items); report the
-    first bad period as first_bad_height, with an R_* reason."""
+    first bad period as first_bad_height, with an R_* reason. Never raises:
+    a malformed period is R_MALFORMED."""
     prev: BlockHeader | None = None
-    for height, (stamp, items) in enumerate(periods):
+    for height, period in enumerate(periods):
+        if not _well_formed(period):
+            return VerifyResult(False, height, R_MALFORMED)
+        stamp, items = period
         if stamp.height != height:
             reason = R_HEIGHT
         elif stamp.nonce != 0:

@@ -379,15 +379,6 @@ class ContractState:
             raise UnknownAddress(address.hex())
         return inst
 
-    def instance_code(self, address: bytes) -> str:
-        return self._instance(address).code_id
-
-    def is_dead(self, address: bytes) -> bool:
-        return self._instance(address).dead
-
-    def storage_snapshot(self, address: bytes) -> dict[str, bytes]:
-        return dict(self._instance(address).storage)
-
     def deploy(
         self, code_id: str, init_params: Any, budget: StepBudget, height: int
     ) -> bytes:

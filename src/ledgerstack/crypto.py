@@ -133,25 +133,53 @@ def merkle_prove(leaves: Sequence[bytes], index: int) -> MerkleProof:
     return MerkleProof(leaf_index=index, path=tuple(path))
 
 
-def merkle_verify(root: bytes, leaf: bytes, proof: MerkleProof, size: int) -> bool:
+@dataclass(frozen=True)
+class ProofResult:
+    """What merkle_verify found: valid, or the reason and the tree level
+    where the path fails (0 at the leaf, the path length at the root, None
+    for a proof refused as a whole). No truth value of its own: read valid.
+
+    Reasons: malformed_proof (no leaf_index, or a path that is not a
+    sequence), bad_size (not an int >= 1), bad_index (not an int inside the
+    tree), path_length_mismatch (not one step per level), malformed_leaf,
+    malformed_step (not a (32-byte sibling, side) pair), wrong_side (not the
+    side the index bit names) and root_mismatch.
+    """
+
+    valid: bool
+    first_bad_level: int | None = None
+    reason: str | None = None
+
+
+def merkle_verify(root: bytes, leaf: bytes, proof: MerkleProof, size: int) -> ProofResult:
     """Check an inclusion proof in a tree of size leaves, a size the caller
     knows (a header's tx_count), not one the proof claims. The path needs
     one step per level, each sibling on the side the index bits name (RFC
-    6962 section 2.1.1). Returns a bool; a malformed proof is False."""
+    6962 section 2.1.1). Never raises: a malformed proof is a reason."""
     try:
         index, path = proof.leaf_index, tuple(proof.path)
-        if not 0 <= index < size or len(path) != (size - 1).bit_length():
-            return False
-        acc = require_hash32(leaf, "leaf")
-        for sibling, side in path:
-            require_hash32(sibling, "sibling")
-            if side != (LEFT if index & 1 else RIGHT):
-                return False
-            acc = sha256d(sibling + acc) if side == LEFT else sha256d(acc + sibling)
-            index >>= 1
-        return acc == root
-    except (AttributeError, CryptoError, TypeError, ValueError):
-        return False
+    except (AttributeError, TypeError):
+        return ProofResult(False, None, "malformed_proof")
+    if type(size) is not int or size < 1:
+        return ProofResult(False, None, "bad_size")
+    if type(index) is not int or not 0 <= index < size:
+        return ProofResult(False, None, "bad_index")
+    if len(path) != (size - 1).bit_length():
+        return ProofResult(False, None, "path_length_mismatch")
+    if not isinstance(leaf, bytes) or len(leaf) != HASH_LEN:
+        return ProofResult(False, 0, "malformed_leaf")
+    acc = leaf
+    for level, step in enumerate(path):
+        sibling, side = step if isinstance(step, (tuple, list)) and len(step) == 2 else (None, None)
+        if not isinstance(sibling, bytes) or len(sibling) != HASH_LEN:
+            return ProofResult(False, level, "malformed_step")
+        if side != (LEFT if index & 1 else RIGHT):
+            return ProofResult(False, level, "wrong_side")
+        acc = sha256d(sibling + acc) if side == LEFT else sha256d(acc + sibling)
+        index >>= 1
+    if acc != root:
+        return ProofResult(False, len(path), "root_mismatch")
+    return ProofResult(True)
 
 
 # ---------------------------------------------------------------------------

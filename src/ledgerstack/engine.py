@@ -278,7 +278,6 @@ def _op_prime_entry(state: ScenarioState, doc: dict) -> dict:
             date=doc["date"],
             counterparty=doc["counterparty"],
             amount=doc["amount"],
-            memo=doc.get("memo", ""),
         )
     )
     return {"count": len(state.books)}

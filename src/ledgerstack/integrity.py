@@ -286,20 +286,12 @@ class PolicyState:
         self._check_sod(triple)
         self._grants.setdefault((triple.subject_id, triple.tp_id), set()).add(triple.cdi_ids)
 
-    # -- read-only views ------------------------------------------------------
+    # -- read-only view ---------------------------------------------------------
 
     def get_item(self, item_id: str) -> DataItem:
         if item_id not in self._items:
             raise UnknownEntity(f"item {item_id!r} is not registered")
         return replace(self._items[item_id])
-
-    def get_subject(self, subject_id: str) -> Subject:
-        if subject_id not in self._subjects:
-            raise UnknownEntity(f"subject {subject_id!r} is not a subject")
-        return replace(self._subjects[subject_id])
-
-    def triples(self) -> frozenset[Triple]:
-        return frozenset(Triple(*key, cdis) for key, sets in self._grants.items() for cdis in sets)
 
     # -- internals -------------------------------------------------------------
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right, insort
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Iterable, Mapping, Sequence
 
 from . import chain as chain_mod
@@ -138,10 +138,6 @@ class OrderBook:
         self._seq = 0
         self._trade_seq = 0
 
-    def depth(self, asset: str) -> tuple[int, int]:
-        bids, asks = (self._queues.get((asset, side), []) for side in (BUY, SELL))
-        return (sum(r[3] for r in bids), sum(r[3] for r in asks))
-
     def match(self, order: Order) -> list[Trade]:
         """Match an incoming order; the unfilled remainder rests.
 
@@ -202,24 +198,9 @@ def novate(trade: Trade, ccp_id: str) -> tuple[Trade, Trade]:
         raise AlreadyNovated(f"trade {trade.id!r} was already novated")
     if ccp_id in (trade.buyer, trade.seller):
         raise CcpIsParty(f"{ccp_id!r} is a party to trade {trade.id!r}")
-    seller_leg = Trade(
-        id=f"{trade.id}/s",
-        buyer=ccp_id,
-        seller=trade.seller,
-        asset=trade.asset,
-        quantity=trade.quantity,
-        price=trade.price,
-        trade_day=trade.trade_day,
-    )
-    buyer_leg = Trade(
-        id=f"{trade.id}/b",
-        buyer=trade.buyer,
-        seller=ccp_id,
-        asset=trade.asset,
-        quantity=trade.quantity,
-        price=trade.price,
-        trade_day=trade.trade_day,
-    )
+    # replace runs Trade's checks again on each leg
+    seller_leg = replace(trade, id=f"{trade.id}/s", buyer=ccp_id)
+    buyer_leg = replace(trade, id=f"{trade.id}/b", seller=ccp_id)
     trade.superseded = True
     return seller_leg, buyer_leg
 
@@ -488,9 +469,13 @@ def run_cycle(trades: Sequence[Trade], config: CycleConfig) -> CycleReport:
     if not trades:
         raise SettlementError("run_cycle needs at least one trade")
     by_day: dict[int, list[Trade]] = {}
+    ids: set[str] = set()
     for t in sorted(trades, key=lambda t: (t.trade_day, t.id)):
         if t.superseded:
             raise SettlementError(f"trade {t.id!r} is already superseded")
+        if t.id in ids:
+            raise SettlementError(f"trade {t.id!r} repeats an earlier trade's id")
+        ids.add(t.id)
         if config.hub in (t.buyer, t.seller):
             raise SettlementError(f"trade {t.id!r} names the {config.mode} hub {config.hub!r} as a party")
         by_day.setdefault(t.trade_day, []).append(t)
@@ -775,7 +760,7 @@ _CSV_INT = re.compile(r"-?[0-9]+")
 
 def _csv_int(row: dict, column: str) -> int:
     text = row[column]
-    if type(text) is not str or not _CSV_INT.fullmatch(text):
+    if not _CSV_INT.fullmatch(text):
         raise SettlementError(f"{column} must be an optional '-' and ASCII digits, got {text!r}")
     return int(text)
 
@@ -785,9 +770,14 @@ def trades_from_csv(text: str) -> list[Trade]:
     import csv as _csv
     import io as _io
 
+    reader = _csv.reader(_io.StringIO(text))
+    header = next(reader, [])
     rows = []
-    for n, row in enumerate(_csv.DictReader(_io.StringIO(text)), 2):
+    for n, fields in enumerate((fields for fields in reader if fields), 2):
         try:
+            if len(fields) != len(header):
+                raise SettlementError(f"{len(fields)} fields, the header has {len(header)}")
+            row = dict(zip(header, fields))
             rows.append(
                 Trade(
                     id=row["id"].strip(),
@@ -801,6 +791,6 @@ def trades_from_csv(text: str) -> list[Trade]:
             )
         except SettlementError as exc:  # the Trade's own refusal keeps its class
             raise type(exc)(f"trades row {n}: {exc}") from None
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        except (KeyError, ValueError) as exc:  # a missing column, a number past int()'s digit limit
             raise SettlementError(f"trades row {n}: {exc}") from None
     return rows

@@ -15,18 +15,18 @@ from ledgerstack.crypto import canonical_json
 def sample_books() -> bank.PrimeBooks:
     books = bank.PrimeBooks()
     rows = [
-        ("sales_day", "2025-03-01", "acme", 100, ""),
-        ("sales_day", "2025-03-01", "bolt", 250, ""),
-        ("purchase_day", "2025-03-01", "mill", 90, ""),
-        ("sales_day", "2025-03-02", "acme", 75, ""),
-        ("sales_returns", "2025-03-02", "bolt", 50, "damaged goods"),
-        ("purchase_returns", "2025-03-02", "mill", 30, ""),
-        ("cash", "2025-03-02", "acme", 100, "invoice settled"),
-        ("petty_cash", "2025-03-02", "office", 20, "stamps"),
-        ("journal", "2025-03-02", "misc", 15, "accrued audit fee"),
+        ("sales_day", "2025-03-01", "acme", 100),
+        ("sales_day", "2025-03-01", "bolt", 250),
+        ("purchase_day", "2025-03-01", "mill", 90),
+        ("sales_day", "2025-03-02", "acme", 75),
+        ("sales_returns", "2025-03-02", "bolt", 50),
+        ("purchase_returns", "2025-03-02", "mill", 30),
+        ("cash", "2025-03-02", "acme", 100),
+        ("petty_cash", "2025-03-02", "office", 20),
+        ("journal", "2025-03-02", "misc", 15),
     ]
-    for book, date, cp, amount, memo in rows:
-        books.post(bank.PrimeEntry(book, date, cp, amount, memo))
+    for book, date, cp, amount in rows:
+        books.post(bank.PrimeEntry(book, date, cp, amount))
     return books
 
 

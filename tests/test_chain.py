@@ -549,6 +549,40 @@ class TestPeriodStamp:
         periods[period] = tamper(*periods[period])
         assert verify_stamps(periods) == ch.VerifyResult(False, period, reason)
 
+    def test_text_items_are_a_malformed_period(self):
+        # before: a bare TypeError, "Strings must be encoded before hashing"
+        assert verify_stamps([(stamp_period([b"a"], None, 0), ["a"])]) == ch.VerifyResult(False, 0, ch.R_MALFORMED)
+
+    @pytest.mark.parametrize(
+        "period,tamper",
+        [
+            (1, lambda s, items: (s, None)),
+            (1, lambda s, items: (s, b"b")),
+            (1, lambda s, items: (s, [b"b", 7])),
+            (1, lambda s, items: (s,)),
+            (2, lambda s, items: None),
+            (1, lambda s, items: (None, items)),
+            (1, lambda s, items: (replace(s, wall_time="1001"), items)),
+            (1, lambda s, items: (replace(s, merkle_root=b"short"), items)),
+            (1, lambda s, items: (replace(s, height=1.0), items)),
+            (0, lambda s, items: (replace(s, height=-1), items)),
+        ],
+        ids=[
+            "items-none", "items-bytes", "item-int", "not-a-pair", "period-none", "stamp-none",
+            "text-wall-time", "short-root", "float-height", "negative-height",
+        ],
+    )
+    def test_a_malformed_period_is_reported_not_raised(self, period, tamper):
+        # before: None items raised a TypeError on len, and the rest raised
+        # from a comparison, an unpacking or the header encoding
+        periods = stamped([b"a"], [b"b"], [b"c"])
+        periods[period] = tamper(*periods[period])
+        assert verify_stamps(periods) == ch.VerifyResult(False, period, ch.R_MALFORMED)
+
+    def test_bytes_like_items_verify(self):
+        ((s0, _),) = stamped([b"a", b"b"])
+        assert verify_stamps([(s0, (bytearray(b"a"), memoryview(b"b")))]) == ch.VerifyResult(True)
+
 
 # non-ASCII text, quotes, backslashes and control characters in one string
 ESCAPES = 'caf\u00e9 \u4e2d "q" \\ a\\b \x00\x01\x1f\x7f \u2028 \U0001f600 \t\n/'

@@ -259,6 +259,23 @@ class TestInputErrors:
         assert cli.main(["settle", "run", str(csv_path), "--mode", mode]) == 1
         assert capsys.readouterr().out == f"bad trades file: trade 'T1' names the {mode} hub '{hub}' as a party\n"
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("T1,a,b,X,1,5,0\nT1,a,b,X,1,5,0\n", "trade 'T1' repeats an earlier trade's id"),
+            ("T1,a,b,X,1,5,0\nT1,c,d,X,2,5,1\n", "trade 'T1' repeats an earlier trade's id"),
+            ("T1,a,b,X,1,5,0,extra\n", "trades row 2: 8 fields, the header has 7"),
+        ],
+        ids=["same-row-twice", "same-id-other-fields", "eighth-field"],
+    )
+    def test_repeated_id_or_extra_field_exits_1(self, tmp_path, capsys, rows, message):
+        # before: the repeated row ended in a BlockRejected traceback, and the
+        # other two were accepted silently
+        csv_path = tmp_path / "trades.csv"
+        csv_path.write_text("id,buyer,seller,asset,quantity,price,day\n" + rows)
+        assert cli.main(["settle", "run", str(csv_path)]) == 1
+        assert capsys.readouterr().out == f"bad trades file: {message}\n"
+
     def test_trades_file_without_rows_exits_1(self, tmp_path, capsys):
         # before: a SettlementError traceback from run_cycle
         csv_path = tmp_path / "trades.csv"

@@ -11,6 +11,11 @@ def budget(limit=1000):
     return ct.StepBudget(limit)
 
 
+def storage(state, addr):
+    """A copy of the instance's committed storage."""
+    return dict(state._instances[addr].storage)
+
+
 def deploy_counter(state, start=0, height=1, limit=1000):
     b = budget(limit)
     addr = state.deploy("counter", {"start": start}, b, height)
@@ -82,7 +87,7 @@ class TestDeploy:
         assert e.value.reason == "already_deployed"
         # another height is a fresh address
         addr, _ = deploy_counter(state, start=5, height=4)
-        assert state.instance_code(addr) == "counter"
+        assert state.invoke(addr, "get", {}, budget()) == {"value": 5}
 
     def test_budget_too_small(self):
         b = ct.StepBudget(ct.FIXED_DEPLOY_STEPS - 1)
@@ -130,9 +135,9 @@ class TestCounter:
         state = ct.ContractState()
         addr, _ = deploy_counter(state)
         state.invoke(addr, "destroy", {}, budget())
-        assert state.is_dead(addr)
-        with pytest.raises(ct.Dead):
-            state.invoke(addr, "get", {}, budget())
+        for method in ("get", "inc", "destroy"):
+            with pytest.raises(ct.Dead):
+                state.invoke(addr, method, {}, budget())
 
     def test_unknown_method_and_address(self):
         state = ct.ContractState()
@@ -148,10 +153,10 @@ class TestAtomicity:
     def test_failed_method_leaves_storage_byte_identical(self):
         state = ct.ContractState()
         addr, _ = deploy_counter(state, start=3)
-        before = state.storage_snapshot(addr)
+        before = storage(state, addr)
         with pytest.raises(ct.ContractError):
             state.invoke(addr, "inc", {"step": "lots"}, budget())
-        assert state.storage_snapshot(addr) == before
+        assert storage(state, addr) == before
         assert state.invoke(addr, "get", {}, budget()) == {"value": 3}
 
     def test_out_of_steps_mid_write_rolls_back_but_charges(self):
@@ -165,11 +170,11 @@ class TestAtomicity:
             budget(),
             1,
         )
-        before = state.storage_snapshot(addr)
+        before = storage(state, addr)
         short = ct.StepBudget(15)
         with pytest.raises(ct.OutOfSteps):
             state.invoke(addr, "claim", {"preimage": preimage.hex()}, short)
-        assert state.storage_snapshot(addr) == before
+        assert storage(state, addr) == before
         assert short.used == 15  # spent steps stay spent
         # with budget the same claim lands
         b = budget()
@@ -191,11 +196,11 @@ class TestAtomicity:
             budget(),
             1,
         )
-        before = state.storage_snapshot(addr)
+        before = storage(state, addr)
         with pytest.raises(ct.ContractError) as e:
             state.invoke(addr, "claim", {"preimage": 123}, budget())
         assert e.value.reason == "contract_fault:TypeError"
-        assert state.storage_snapshot(addr) == before
+        assert storage(state, addr) == before
 
 
 class TestConditionalPayment:
@@ -377,7 +382,7 @@ class TestCatalogAndDeterminism:
             out.append(addr.hex())
             out.append(state.invoke(addr, "inc", {"step": 3}, budget()))
             out.append(state.invoke(addr, "get", {}, budget()))
-            out.append(state.storage_snapshot(addr))
+            out.append(storage(state, addr))
             return out
 
         assert script(ct.ContractState()) == script(ct.ContractState())

@@ -16,6 +16,7 @@ from ledgerstack.crypto import (
     BadSeed,
     EmptyLeaves,
     MerkleProof,
+    ProofResult,
     canonical_json,
     keygen,
     merkle_prove,
@@ -145,19 +146,19 @@ class TestMerkle:
             root = merkle_root(leaves)
             for i in range(n):
                 proof = merkle_prove(leaves, i)
-                assert merkle_verify(root, leaves[i], proof, n)
+                assert merkle_verify(root, leaves[i], proof, n) == ProofResult(True)
                 assert len(proof.path) == (0 if n == 1 else math.ceil(math.log2(n)))
 
-    def test_tampered_leaf_fails(self):
+    def test_tampered_leaf_fails_at_the_root(self):
         leaves = _leaves(5)
         root = merkle_root(leaves)
         proof = merkle_prove(leaves, 2)
-        assert not merkle_verify(root, sha256d(b"tampered"), proof, 5)
+        assert merkle_verify(root, sha256d(b"tampered"), proof, 5) == ProofResult(False, 3, "root_mismatch")
 
     def test_wrong_index_proof_fails(self):
         leaves = _leaves(6)
         root = merkle_root(leaves)
-        assert not merkle_verify(root, leaves[0], merkle_prove(leaves, 1), 6)
+        assert merkle_verify(root, leaves[0], merkle_prove(leaves, 1), 6) == ProofResult(False, 3, "root_mismatch")
 
     def test_bad_index(self):
         with pytest.raises(BadIndex):
@@ -165,53 +166,57 @@ class TestMerkle:
         with pytest.raises(BadIndex):
             merkle_prove(_leaves(3), -1)
 
-    def test_garbage_proof_returns_false(self):
+    def test_garbage_step_names_its_level(self):
         leaves = _leaves(2)
         root = merkle_root(leaves)
         bad_side = MerkleProof(0, ((leaves[1], "sideways"),))
-        assert merkle_verify(root, leaves[0], bad_side, 2) is False
+        assert merkle_verify(root, leaves[0], bad_side, 2) == ProofResult(False, 0, "wrong_side")
         bad_sibling = MerkleProof(0, ((b"short", "right"),))
-        assert merkle_verify(root, leaves[0], bad_sibling, 2) is False
+        assert merkle_verify(root, leaves[0], bad_sibling, 2) == ProofResult(False, 0, "malformed_step")
+        assert merkle_verify(root, b"short", merkle_prove(leaves, 0), 2) == ProofResult(False, 0, "malformed_leaf")
 
     def test_interior_node_does_not_prove_as_a_leaf(self):
         leaves = _leaves(4)
         root = merkle_root(leaves)
         pair = sha256d(leaves[0] + leaves[1])
         shortened = MerkleProof(0, merkle_prove(leaves, 0).path[1:])
-        assert merkle_verify(root, pair, shortened, 4) is False
+        assert merkle_verify(root, pair, shortened, 4) == ProofResult(False, None, "path_length_mismatch")
 
     def test_relabelled_index_fails(self):
         leaves = _leaves(4)
         root = merkle_root(leaves)
         proof = merkle_prove(leaves, 0)
-        assert merkle_verify(root, leaves[0], MerkleProof(3, proof.path), 4) is False
+        assert merkle_verify(root, leaves[0], MerkleProof(3, proof.path), 4) == ProofResult(False, 0, "wrong_side")
 
-    def test_malformed_proof_returns_false(self):
+    def test_malformed_proof_is_a_result_not_a_raise(self):
         leaves = _leaves(4)
         root = merkle_root(leaves)
         path = merkle_prove(leaves, 0).path
-        for bad in (
-            MerkleProof(0, ((leaves[1],),) + path[1:]),  # a step that is not a pair
-            MerkleProof(0, None),
-            MerkleProof(0, (None, None)),
-            MerkleProof(None, path),
-            MerkleProof("0", path),
-            MerkleProof(True, path),
-            None,
+        for bad, level, reason in (
+            (MerkleProof(0, ((leaves[1],),) + path[1:]), 0, "malformed_step"),  # a step that is not a pair
+            (MerkleProof(0, path[:1] + (None,)), 1, "malformed_step"),
+            (MerkleProof(0, None), None, "malformed_proof"),
+            (MerkleProof(0, (None, None)), 0, "malformed_step"),
+            (MerkleProof(None, path), None, "bad_index"),
+            (MerkleProof("0", path), None, "bad_index"),
+            (MerkleProof(True, path), None, "bad_index"),
+            (None, None, "malformed_proof"),
         ):
-            assert merkle_verify(root, leaves[0], bad, 4) is False
+            assert merkle_verify(root, leaves[0], bad, 4) == ProofResult(False, level, reason)
 
     def test_size_is_the_callers(self):
         leaves = _leaves(4)
         root = merkle_root(leaves)
         proof = merkle_prove(leaves, 0)
-        for size in (1, 2, 5, 0, -4, None, "4", True, 4.0):
-            assert merkle_verify(root, leaves[0], proof, size) is False
+        for size in (1, 2, 5):
+            assert merkle_verify(root, leaves[0], proof, size) == ProofResult(False, None, "path_length_mismatch")
+        for size in (0, -4, None, "4", True, 4.0):
+            assert merkle_verify(root, leaves[0], proof, size) == ProofResult(False, None, "bad_size")
         # [a, b, c, c] has the root of [a, b, c]: index 3 lies past a tree of 3
         a, b, c = _leaves(3)
         padded = merkle_prove([a, b, c, c], 3)
-        assert merkle_verify(merkle_root([a, b, c]), c, padded, 3) is False
-        assert merkle_verify(merkle_root([a, b, c]), c, merkle_prove([a, b, c], 2), 3)
+        assert merkle_verify(merkle_root([a, b, c]), c, padded, 3) == ProofResult(False, None, "bad_index")
+        assert merkle_verify(merkle_root([a, b, c]), c, merkle_prove([a, b, c], 2), 3) == ProofResult(True)
 
     def test_side_must_match_the_index_bits(self):
         leaves = _leaves(5)
@@ -220,8 +225,29 @@ class TestMerkle:
         # the padded sibling of the odd last node sits on the right
         assert [side for _, side in proof.path] == [crypto.RIGHT, crypto.RIGHT, crypto.LEFT]
         flipped = ((proof.path[0][0], crypto.LEFT),) + proof.path[1:]
-        assert merkle_verify(root, leaves[4], MerkleProof(4, flipped), 5) is False
-        assert merkle_verify(root, leaves[4], proof, 5)
+        assert merkle_verify(root, leaves[4], MerkleProof(4, flipped), 5) == ProofResult(False, 0, "wrong_side")
+        assert merkle_verify(root, leaves[4], proof, 5) == ProofResult(True)
+
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
+    def test_a_bad_step_is_reported_at_its_level(self, level):
+        leaves = _leaves(11)
+        root = merkle_root(leaves)
+        proof = merkle_prove(leaves, 6)
+        sibling, side = proof.path[level]
+        other = crypto.LEFT if side == crypto.RIGHT else crypto.RIGHT
+        for step, reason in (((sibling, other), "wrong_side"), ((sibling[:31], side), "malformed_step")):
+            path = proof.path[:level] + (step,) + proof.path[level + 1 :]
+            assert merkle_verify(root, leaves[6], MerkleProof(6, path), 11) == ProofResult(False, level, reason)
+        # a wrong sibling hash shows only where the path meets the root
+        path = proof.path[:level] + ((sha256d(sibling), side),) + proof.path[level + 1 :]
+        assert merkle_verify(root, leaves[6], MerkleProof(6, path), 11) == ProofResult(False, 4, "root_mismatch")
+
+    def test_the_result_is_not_a_bool(self):
+        # a result has no truth value of its own: callers read .valid
+        leaves = _leaves(2)
+        result = merkle_verify(merkle_root(leaves), leaves[0], merkle_prove(leaves, 0), 2)
+        assert result.valid is True and result.reason is None
+        assert "__bool__" not in vars(ProofResult)
 
 
 class TestSignatures:

@@ -384,6 +384,8 @@ class TestBundledScenarios:
             ("tsa_day_cycle.jsonl", 26),
             ("tsa_distributed_day.jsonl", 24),
             ("escrow_paths.jsonl", 17),
+            ("bank_books.jsonl", 34),
+            ("contracts_tour.jsonl", 10),
         ],
     )
     def test_runs_clean(self, name, op_count):
@@ -428,6 +430,12 @@ class TestReportBytes:
         text = bundled("tsa_day_cycle.jsonl")
         raw = engine.report_bytes(engine.run_scenario(text, "tsa_day_cycle"))
         assert raw == (GOLDEN / "tsa_day_cycle.report.json").read_bytes()
+
+    @pytest.mark.parametrize("name", ["bank_books", "contracts_tour"])
+    def test_golden_bank_and_contract_reports(self, name):
+        # the bank books and the two contracts run from these scenarios only
+        raw = engine.report_bytes(engine.run_scenario(bundled(f"{name}.jsonl"), name))
+        assert raw == (GOLDEN / f"{name}.report.json").read_bytes()
 
     def test_report_ends_with_newline(self):
         raw = engine.report_bytes(engine.run_scenario("", "x"))

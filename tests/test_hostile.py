@@ -25,7 +25,7 @@ JUNK = [
 ]
 CHARS = '{}[]":,. 0a-\\'
 
-# one line per op that the bundled scenarios leave out
+# one line per op, some with fields that the bundled scenarios leave out
 EXTRA_SCENARIO = "\n".join(
     json.dumps(doc)
     for doc in [
@@ -93,6 +93,8 @@ def test_scenario_mutations_escape_only_with_a_line():
         bundled("tsa_day_cycle.jsonl"),
         bundled("tsa_distributed_day.jsonl"),
         bundled("escrow_paths.jsonl"),
+        bundled("bank_books.jsonl"),
+        bundled("contracts_tour.jsonl"),
         EXTRA_SCENARIO,
     ]
     escapes = {}

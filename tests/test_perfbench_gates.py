@@ -14,26 +14,11 @@ or transaction, fails here rather than in a `--trace 1` run.
 """
 
 import importlib.util
-import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-
-
-@pytest.fixture(scope="module")
-def workloads():
-    name = "perfbench_workloads"
-    spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module  # dataclasses resolve their module by name
-    try:
-        spec.loader.exec_module(module)
-        yield module
-    finally:
-        del sys.modules[name]
-
 
 # Audit seeds 1-4 tamper with the approval, a payload, a transaction
 # signature and the merkle root in their first round, so every branch of

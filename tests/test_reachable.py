@@ -1,13 +1,12 @@
-"""Reachability gate: src/ holds only what an entry point reaches.
+"""Reachability gate: src/ holds only what an entry point runs.
 
-The entry points are the CLI, the scenario engine and the benchmark, so
-the code under src/ledgerstack and perfbench is scanned with ast. A public
-top-level function or class must be named somewhere in that code outside
-its own definition: as an ast.Name, an ast.Attribute or an import. A public
-method counts only as an ast.Attribute, so a local variable of the same
-name does not reach it. A name inside a string does not count, and neither
-does a test. The few names kept for tests and for later work are listed in
-ALLOWED, each with its reason.
+The entry points are run once per module under sys.setprofile: every
+bundled scenario, every CLI command with each of its flags and one refused
+input, one seed-1 round of each perfbench workload, and the bundled gate.
+A def in src/ledgerstack that none of them enters fails the gate, unless
+ALLOWED names it with its reason; a name in ALLOWED that is entered, or
+that no longer exists, fails it too. A call counts, a name does not: a
+`.get` anywhere does not enter every `get`.
 
 A second scan, over the tests too, refuses an import that its file never
 uses as a name. A third refuses a pytest fixture, in tests/conftest.py or
@@ -15,106 +14,181 @@ a test file, that no test or fixture requests.
 """
 
 import ast
+import contextlib
+import importlib.util
+import io
+import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
-SCANNED = (ROOT / "src" / "ledgerstack", ROOT / "perfbench")
-TESTS = ROOT / "tests"
-IMPORTING = (*SCANNED, TESTS)
+from ledgerstack import cli
 
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "ledgerstack"
+TESTS = ROOT / "tests"
+IMPORTING = (SRC, ROOT / "perfbench", TESTS)
+
+# Each def that no entry point enters but that stays, with its reason.
 ALLOWED = {
-    "OrderBook.depth": "read-only accessor that tests use to observe the book",
-    "PolicyState.get_item": "read-only accessor that tests use to observe policy state",
-    "PolicyState.get_subject": "read-only accessor that tests use to observe policy state",
-    "PolicyState.triples": "read-only accessor that tests use to observe the certified triples",
-    "ContractState.instance_code": "read-only accessor that tests use to observe a deployment",
-    "ContractState.is_dead": "read-only accessor that tests use to observe a self-destruct",
-    "ContractState.storage_snapshot": "read-only accessor that tests use to observe storage",
-    "Chain.mine_and_append": "PoW mode, one of the two consensus modes of the paper",
-    "merkle_prove": "inclusion proofs: the per-transaction evidence a third party can check",
-    "merkle_verify": "inclusion proofs: the per-transaction evidence a third party can check",
-    "PolicyState.promote_udi": "the Clark-Wilson UDI-to-CDI step that the acceptance criterion runs",
+    **dict.fromkeys(
+        ("chain.leading_zero_bits", "chain.pow_check", "chain.mine_pow", "chain.Chain.append_mined",
+         "chain.Chain.mine_and_append"),
+        "proof of work, the second of the paper's two consensus modes",
+    ),
+    **dict.fromkeys(
+        ("crypto.merkle_prove", "crypto.merkle_verify"),
+        "inclusion proofs: the per-transaction evidence a third party can check against a header",
+    ),
+    "integrity.PolicyState.promote_udi": "the Clark-Wilson step that certifies an unconstrained item as constrained",
+    "integrity.tp_sanitize_int": "the builtin TP a policy names to promote raw text to an integer CDI",
+    "integrity.PolicyState.get_item": "the policy's one read-only view; tests pin that it hands out a copy",
+    "settlement.holdings_from": "pinned opening holdings, the only way a caller can make a DvP leg fail",
+    "chain._without_memo": "copy and pickle drop the verify memos so that a duplicate is checked again",
+    # refusal paths that no entry point reaches
+    "chain.BlockRejected.__init__": "a refused block; every entry point checks its input before it builds one",
+    "integrity.PolicyState._audit_unknown": "audits a guarded action naming an unknown id; the audit workload names none",
 }
 
 
-def _definitions(tree: ast.Module):
-    """(qualified name, bare name, first line, last line) of each public
-    top-level function and class, and of each public method of such a class."""
-    for node in tree.body:
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        if not node.name.startswith("_"):
-            yield node.name, node.name, node.lineno, node.end_lineno
-        if isinstance(node, ast.ClassDef):
-            for item in node.body:
-                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_"):
-                    yield f"{node.name}.{item.name}", item.name, item.lineno, item.end_lineno
+def _defs(node: ast.AST, prefix: str):
+    """(qualified name, node) of each def under node, nested ones too."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + child.name, child
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _defs(child, f"{prefix}{child.name}.")
+        else:
+            yield from _defs(child, prefix)
 
 
-def _references(tree: ast.Module):
-    """(name, line, whether an attribute) of each ast.Name, ast.Attribute
-    and imported name."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id, node.lineno, False
-        elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno, True
-        elif isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                yield alias.name.rsplit(".", 1)[-1], node.lineno, False
-
-
-def unreached(roots=SCANNED) -> dict[str, str]:
-    """Public definitions named nowhere outside their own body, by
-    qualified name, each with the file and line that defines it."""
-    trees = {
-        path: (path.relative_to(root), ast.parse(path.read_text(), str(path)))
-        for root in roots
-        for path in sorted(root.rglob("*.py"))
-    }
-    named: dict[str, list[tuple[Path, int, bool]]] = {}
-    for path, (_, tree) in trees.items():
-        for name, line, attribute in _references(tree):
-            named.setdefault(name, []).append((path, line, attribute))
-    found = {}
-    for path, (shown, tree) in trees.items():
-        for qualified, name, first, last in _definitions(tree):
-            method = "." in qualified
-            refs = [(where, line) for where, line, attribute in named.get(name, ()) if attribute or not method]
-            if all(where == path and first <= line <= last for where, line in refs):
-                found[qualified] = f"{shown}:{first}"
+def definitions(root: Path) -> dict[tuple[str, int, str], tuple[str, str]]:
+    """Each def under root, keyed as its code object names it (file, first
+    line, name), with its qualified name ("module.Class.method") and where
+    it is defined ("file:line")."""
+    found, root = {}, root.resolve()
+    for path in sorted(root.rglob("*.py")):
+        shown = path.relative_to(root)
+        module = shown.with_suffix("").as_posix().replace("/", ".")
+        for name, node in _defs(ast.parse(path.read_text(), str(path)), module + "."):
+            first = min([node.lineno] + [d.lineno for d in node.decorator_list])  # a decorator's line, if any
+            found[(str(path), first, node.name)] = (name, f"{shown}:{node.lineno}")
     return found
 
 
-def test_every_public_definition_is_reached_or_allowed():
-    extra = {name: where for name, where in unreached().items() if name not in ALLOWED}
-    assert not extra, f"named only by tests (delete, wire in, or allow with a reason): {extra}"
+def entered(run) -> set[tuple[str, int, str]]:
+    """(file, first line, name) of each Python function that run() enters.
+    The profile hook in place before is restored, even if run() raises."""
+    codes = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(previous)
+    return {(str(Path(code.co_filename).resolve()), code.co_firstlineno, code.co_name) for code in codes}
 
 
-def test_every_allowed_name_is_still_defined_and_unreached():
-    # a name that an entry point now reaches, or that is gone, leaves the list
-    assert sorted(unreached()) == sorted(ALLOWED)
+def never_entered(root: Path, ran: set[tuple[str, int, str]]) -> dict[str, str]:
+    """Each def under root that no code in `ran` is, by qualified name."""
+    return {name: where for key, (name, where) in definitions(root).items() if key not in ran}
 
 
-def test_the_scan_counts_names_not_strings(tmp_path):
-    (tmp_path / "m.py").write_text(
-        "def used():\n    return used\n\n"
-        "def called():\n    pass\n\n"
-        "class Box:\n    def size(self):\n        return 'used'\n\n"
-        "    def width(self):\n        pass\n\n"
-        "    def depth(self):\n        pass\n\n"
-        "def caller(box):\n    called()\n    width = box.depth\n    return 'size', width\n"
-    )
-    (tmp_path / "n.py").write_text("from m import caller\n")
-    # the local variable `width` does not reach Box.width; `box.depth` reaches Box.depth
-    assert unreached([tmp_path]) == {
-        "used": "m.py:1",
-        "Box": "m.py:7",
-        "Box.size": "m.py:8",
-        "Box.width": "m.py:11",
+def _cli(*argv: str) -> None:
+    """One CLI run; a parser refusal ends in SystemExit, as from a shell."""
+    with contextlib.suppress(SystemExit):
+        cli.main(list(argv))
+
+
+def run_entry_points(tmp: Path, workloads) -> None:
+    """Every way a user or the benchmark drives src/ledgerstack."""
+    scenarios = resources.files("ledgerstack") / "scenarios"
+    reports = str(tmp / "reports")
+    for path in sorted(scenarios.iterdir()):
+        (tmp / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
+    missing, chain_file, seed = str(tmp / "missing"), str(tmp / "chain.jsonl"), "11" * 32
+    refused = {
+        "no_field.jsonl": '{"op": "tsa_init"}\n{"op": "open", "id": "m"}\n',
+        "no_ledger.jsonl": '{"op": "tsa_init"}\n{"op": "sweep", "agency": "north"}\n',
+        "not_finite.jsonl": '{"op": "ecl", "exposure": NaN}\n',
+        "unmet.jsonl": '{"op": "tsa_init", "expected": {"agency": "north"}}\n',
     }
+    for name, text in refused.items():
+        (tmp / name).write_text(text)
+    (tmp / "bad.csv").write_text("id,buyer\nT1,alice\n")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        for path in sorted(tmp.glob("*.jsonl")):
+            _cli("scenario", "run", str(path), "--report", reports)
+        _cli("scenario", "run", missing)
+        _cli("tsa", "day-cycle", str(tmp / "tsa_day_cycle.jsonl"), "--report", reports)
+        _cli("tsa", "day-cycle", str(tmp / "no_ledger.jsonl"))
+        _cli("escrow", "demo", "--report", reports)
+        _cli("contracts", "list")
+        for mode in ("bilateral", "ccp", "consortium"):
+            _cli("settle", "run", str(tmp / "trades_sample.csv"), "--mode", mode, "--report", reports)
+        _cli("settle", "run", str(tmp / "trades_sample.csv"), "--lag", "1", "--fop")
+        _cli("settle", "run", str(tmp / "bad.csv"))
+        _cli("settle", "run", str(tmp / "bad.csv"), "--lag", "-1")
+        _cli("chain", "init", "--out", chain_file, "--seed", seed)
+        _cli("chain", "init", "--out", chain_file, "--seed", "zz")
+        _cli("chain", "verify", chain_file, "--seed", seed)
+        _cli("chain", "verify", str(tmp / "bad.csv"))
+        _cli("chain", "export", "--in", chain_file, "--out", str(tmp / "export.jsonl"), "--seed", seed)
+        _cli("chain", "export", "--in", missing, "--out", str(tmp / "export.jsonl"))
+        _cli("chain", "import", chain_file, "--seed", seed)
+        _cli("chain", "import", str(tmp / "no_field.jsonl"))
+    for setup, run, check in workloads.WORKLOADS.values():
+        state = setup(1, 0)
+        check(state, run(state), True)
+    workloads.bundled_gate(ROOT)
+
+
+@pytest.fixture(scope="module")
+def missed(tmp_path_factory, workloads) -> dict[str, str]:
+    tmp = tmp_path_factory.mktemp("entry_points")
+    return never_entered(SRC, entered(lambda: run_entry_points(tmp, workloads)))
+
+
+def test_every_def_is_entered_or_allowed(missed):
+    extra = {name: where for name, where in missed.items() if name not in ALLOWED}
+    assert not extra, f"no entry point runs these (delete, wire in, or allow with a reason): {extra}"
+
+
+def test_every_allowed_name_is_still_defined_and_never_entered(missed):
+    # a name that an entry point now runs, or that is gone, leaves the list
+    stale = sorted(name for name in ALLOWED if name not in missed)
+    assert not stale, f"entered, or no longer defined: {stale}"
+    assert all(reason.strip() for reason in ALLOWED.values())
+
+
+def test_the_gate_counts_calls_not_names(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "class Box:\n    def get(self):\n        return 1\n\n"
+        "class Shelf:\n    def get(self):\n        return 2\n\n"
+        "def caller():\n    return {}.get('k'), Shelf().get(), Box.get\n\n"
+        "def idle():\n    return caller\n"
+    )
+    spec = importlib.util.spec_from_file_location("m", tmp_path / "m.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # a dict's .get and Shelf.get run and Box.get is named, but Box.get never runs
+    assert never_entered(tmp_path, entered(module.caller)) == {"m.Box.get": "m.py:2", "m.idle": "m.py:12"}
+
+
+def test_the_gate_restores_the_profile_hook():
+    def fail():
+        raise RuntimeError("stop")
+
+    previous = sys.getprofile()
+    with pytest.raises(RuntimeError):
+        entered(fail)
+    assert sys.getprofile() is previous
 
 
 def unused_imports(roots=IMPORTING) -> list[str]:

@@ -27,6 +27,11 @@ def trade(id, buyer, seller, qty=1, price=100, asset="BOND", day=0):
     )
 
 
+def resting(book, asset):
+    """(bid quantity, ask quantity) resting in the book for asset."""
+    return tuple(sum(row[3] for row in book._queues.get((asset, side), [])) for side in (st.BUY, st.SELL))
+
+
 def constant_flow(days, per_day=2, price=100):
     """per_day unit trades a->b and b->c every day; daily notional fixed."""
     out = []
@@ -85,7 +90,7 @@ class TestMatching:
             ("carol", 2, 99),
         ]
         assert all(t.buyer == "alice" for t in trades)
-        assert book.depth("BOND") == (0, 3)  # carol's remainder rests
+        assert resting(book, "BOND") == (0, 3)  # carol's remainder rests
 
     def test_time_priority_on_equal_price(self):
         book = st.OrderBook()
@@ -99,7 +104,7 @@ class TestMatching:
         book.match(st.Order("O1", "a", st.SELL, "BOND", 5, 101, 0))
         trades = book.match(st.Order("O2", "b", st.BUY, "BOND", 5, 100, 0))
         assert trades == []
-        assert book.depth("BOND") == (5, 5)
+        assert resting(book, "BOND") == (5, 5)
 
     def test_sell_side_matches_best_bid_first(self):
         book = st.OrderBook()
@@ -124,7 +129,7 @@ class TestMatching:
         assert [(t.buyer, t.seller, t.quantity, t.price) for t in trades] == [
             ("alice", "bob", 4, 101)
         ]
-        assert book.depth("BOND") == (0, 5)  # both own asks still rest
+        assert resting(book, "BOND") == (0, 5)  # both own asks still rest
 
     def test_matches_oracle_with_frequent_self_crossing(self):
         rng = random.Random(8191)
@@ -153,7 +158,7 @@ class TestMatching:
         ]
         want, depth = match_oracle([(o.member, o.side, o.asset, o.quantity, o.price, o.day) for o in orders])
         assert got == want
-        assert {a: book.depth(a) for a in depth} == depth
+        assert {a: resting(book, a) for a in depth} == depth
         return got
 
     @pytest.mark.parametrize("seed", [1, 2])
@@ -194,7 +199,7 @@ class TestMatching:
         book.match(st.Order("O1", "a", st.SELL, "BOND", 1, 100, 0))
         trades = book.match(st.Order("O2", "b", st.BUY, "BILL", 1, 100, 0))
         assert trades == []
-        assert book.depth("BILL") == (1, 0)
+        assert resting(book, "BILL") == (1, 0)
 
     def test_buyer_seller_set_by_incoming_side(self):
         book = st.OrderBook()
@@ -638,6 +643,19 @@ class TestRunCycle:
         with pytest.raises(st.SettlementError):
             st.run_cycle([t], st.CycleConfig())
 
+    @pytest.mark.parametrize("again", [("a", "b", 0), ("c", "d", 1)], ids=["same-row", "other-fields"])
+    def test_refuses_a_repeated_trade_id_before_any_block(self, again, monkeypatch):
+        # before: the same row twice ended in BlockRejected duplicate_tx, and
+        # the same id with other fields settled as a second trade
+        trades = [trade("T1", "a", "b"), trade("T1", again[0], again[1], day=again[2])]
+        built = []
+        monkeypatch.setattr(st.Chain, "build_block", lambda *a, **k: built.append(a))
+        with pytest.raises(st.SettlementError) as err:
+            st.run_cycle(trades, st.CycleConfig())
+        assert type(err.value) is st.SettlementError
+        assert str(err.value) == "trade 'T1' repeats an earlier trade's id"
+        assert built == []
+
     @pytest.mark.parametrize("lag", [1.5, True, "2", None, -1])
     def test_lag_must_be_a_non_negative_int(self, lag):
         # before: 1.5 stopped the cycle at day 1 with the obligation pending
@@ -779,6 +797,16 @@ class TestCsv:
         # before: the Trade's own refusal escaped without the row
         text = "id,buyer,seller,asset,quantity,price,day\nT1,alice,bob,BOND,10,100,0\n" + row + "\n"
         with pytest.raises(error, match=f"^trades row 3: {message}"):
+            st.trades_from_csv(text)
+
+    @pytest.mark.parametrize(
+        "row,count",
+        [("T2,bob,carol,BOND,4,100,0,9", 8), ("T2,bob,carol,BOND,4,100", 6), ("T2", 1)],
+    )
+    def test_a_row_whose_field_count_differs_from_the_header_is_refused(self, row, count):
+        # before: an eighth field was dropped silently
+        text = "id,buyer,seller,asset,quantity,price,day\nT1,alice,bob,BOND,10,100,0\n" + row + "\n"
+        with pytest.raises(st.SettlementError, match=f"^trades row 3: {count} fields, the header has 7$"):
             st.trades_from_csv(text)
 
     @pytest.mark.parametrize(
