@@ -192,6 +192,7 @@ class GeneralLedger:
         self.balances: dict[str, int] = {}  # per opened account, signed, debit positive
         self.receivables: dict[str, int] = {}
         self.payables: dict[str, int] = {}
+        self.posted_dates: set[str] = set()  # summarize_and_post posts each date once
 
     def _account(self, account_id: str) -> int:
         """The account's balance, opening it at zero on first use."""
@@ -234,8 +235,12 @@ def summarize_and_post(
 
     Books are processed in their declared order and counterparties in
     sorted order, so a replay over the same prime entries reproduces the
-    ledger exactly. Books with no entries for the date are skipped.
+    ledger exactly. Books with no entries for the date are skipped. A date
+    already posted is refused, so no day total is posted twice.
     """
+    if date in ledger.posted_dates:
+        raise BankLedgerError(f"{date} is already posted")
+    ledger.posted_dates.add(date)
     posted: list[JournalEntry] = []
     for book in BOOKS:
         rows = books.entries(book, date)

@@ -34,6 +34,12 @@ hashed again. Create and import check each tx_id, and the first verify of
 that transaction reuses the check instead of hashing again. verify_chain
 verifies each signature inline, once, as its walk reaches it, and stops at
 the first bad block.
+
+A chain file has one byte form, the text to_jsonl writes: per block, one
+canonical JSON line ending in "\n". from_jsonl imports only that form. A
+line whose key order, whitespace, keys, hex case or escapes differ, a
+blank line, a CRLF ending or a missing final newline is refused with
+BadImport at its line, reason R_NON_CANONICAL, so one file is one history.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass, field, replace
+from os.path import commonprefix
 from typing import AbstractSet, Any, Sequence
 
 from . import crypto
@@ -71,6 +78,7 @@ R_EMPTY = "empty_block"
 R_CLOCK = "clock_regression"
 R_NONCE = "nonce_not_zero"  # verify_stamps only: a stamp's nonce is 0
 R_MALFORMED = "malformed_period"  # verify_stamps only: not an encodable (header, list of bytes) pair
+R_NON_CANONICAL = "non_canonical_line"  # from_jsonl only: not the bytes to_jsonl writes for its block
 
 
 class ChainError(Exception):
@@ -510,7 +518,7 @@ class Chain:
     # -- export / import ----------------------------------------------------
 
     def to_jsonl(self) -> str:
-        return "".join(_block_to_line(b) for b in self.blocks)
+        return "".join(_block_to_line(b, [tx.payload_obj() for tx in b.txs]) for b in self.blocks)
 
     def export_jsonl(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -518,11 +526,14 @@ class Chain:
 
     @classmethod
     def from_jsonl(cls, text: str, config: ChainConfig) -> "Chain":
+        """The chain that text is the to_jsonl() of. Any other text is
+        refused: BadImport names the first line that differs."""
+        if not text.strip():
+            raise EmptyChain("refusing to import an empty chain file")
         # split on "\n" only: str.splitlines also breaks at U+2028 and other
         # separators that the writer leaves unescaped inside strings
-        lines = [ln for ln in text.split("\n") if ln.strip()]
-        if not lines:
-            raise EmptyChain("refusing to import an empty chain file")
+        *ended, last = text.split("\n")
+        lines = [ln + "\n" for ln in ended] + ([last] if last else [])
         chain = cls(config)
         chain.blocks = [_block_from_line(ln, i + 1) for i, ln in enumerate(lines)]
         chain._tx_ids = {tx.tx_id for b in chain.blocks for tx in b.txs}
@@ -629,7 +640,9 @@ def verify_chain(blocks: Sequence[Block], config: ChainConfig) -> VerifyResult:
 # JSON-lines codec
 
 
-def _block_to_line(block: Block) -> str:
+def _block_to_line(block: Block, payloads: Sequence[Any]) -> str:
+    """The one line that encodes block; payloads are its transactions'
+    decoded payloads, in order."""
     h = block.header
     obj = {
         "height": h.height,
@@ -643,11 +656,11 @@ def _block_to_line(block: Block) -> str:
             {
                 "tx_id": tx.tx_id.hex(),
                 "kind": tx.kind,
-                "payload": tx.payload_obj(),
+                "payload": payload,
                 "author_pk": tx.author_pk.hex(),
                 "signature": tx.signature.hex(),
             }
-            for tx in block.txs
+            for tx, payload in zip(block.txs, payloads)
         ],
         "approvals": [
             {"validator_pk": ap.validator_pk.hex(), "signature": ap.signature.hex()}
@@ -658,17 +671,22 @@ def _block_to_line(block: Block) -> str:
 
 
 def _block_from_line(line: str, lineno: int) -> Block:
+    """The block that line, with its newline, encodes. Raises BadImport
+    unless line is that block's _block_to_line."""
+    if not line.strip():
+        raise BadImport(lineno, f"{R_NON_CANONICAL}: blank line")
     try:
         obj = json.loads(line)
+        payloads = [t["payload"] for t in obj["txs"]]
         txs = tuple(
             Transaction(
                 kind=t["kind"],
-                payload=canonical_json(t["payload"]),
+                payload=canonical_json(payload),
                 author_pk=bytes.fromhex(t["author_pk"]),
                 signature=bytes.fromhex(t["signature"]),
                 tx_id=bytes.fromhex(t["tx_id"]),
             )
-            for t in obj["txs"]
+            for t, payload in zip(obj["txs"], payloads)
         )
         approvals = tuple(
             Approval(
@@ -698,4 +716,8 @@ def _block_from_line(line: str, lineno: int) -> Block:
     for tx in txs:
         if not tx._id_matches(tx.signing_bytes()):
             raise BadImport(lineno, f"stated tx_id mismatch on {tx.tx_id.hex()}")
+    canonical = _block_to_line(block, payloads)
+    if line != canonical:
+        column = len(commonprefix([line, canonical])) + 1
+        raise BadImport(lineno, f"{R_NON_CANONICAL}: differs from its block's one encoding at column {column}")
     return block

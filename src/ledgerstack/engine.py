@@ -284,7 +284,10 @@ def _op_prime_entry(state: ScenarioState, doc: dict) -> dict:
 
 
 def _op_post_books(state: ScenarioState, doc: dict) -> dict:
-    dates = [doc["date"]] if "date" in doc else state.books.dates()
+    if "date" in doc:
+        dates = [doc["date"]]
+    else:
+        dates = [d for d in state.books.dates() if d not in state.gl.posted_dates]
     posted = 0
     for date in dates:
         posted += len(bank.summarize_and_post(state.books, state.gl, date))

@@ -259,13 +259,13 @@ class PolicyState:
         _require_text(subject.id, "subject")
         if subject.id in self._subjects:
             raise IntegrityError(f"subject {subject.id!r} already registered")
-        self._subjects[subject.id] = subject
+        self._subjects[subject.id] = replace(subject)  # the caller's object stays the caller's
 
     def register_item(self, item: DataItem) -> None:
         _require_text(item.id, "item")
         if item.id in self._items:
             raise IntegrityError(f"item {item.id!r} already registered")
-        self._items[item.id] = item
+        self._items[item.id] = replace(item)
 
     def register_tp(self, tp_id: str, fn: TpFn, certified_by: str) -> None:
         _require_text(tp_id, "tp")

@@ -127,6 +127,15 @@ class TestPostingAndReconciliation:
         ledger = bank.GeneralLedger()
         assert post_all(books, ledger) == 8  # 2 books on day one, 6 on day two
 
+    def test_a_posted_date_is_refused_by_name(self):
+        books = sample_books()
+        ledger = bank.GeneralLedger()
+        post_all(books, ledger)
+        before = ledger.trial_balance()
+        with pytest.raises(bank.BankLedgerError, match="2025-03-01 is already posted"):
+            bank.summarize_and_post(books, ledger, "2025-03-01")
+        assert ledger.trial_balance() == before
+
     def test_trial_balance_sums_to_zero(self):
         books = sample_books()
         ledger = bank.GeneralLedger()

@@ -1087,7 +1087,7 @@ class TestImportHashesOnce:
         lines = c.to_jsonl().splitlines()
         sig = c.blocks[2].txs[0].signature.hex()
         lines[2] = lines[2].replace(sig, _flip_first(bytes.fromhex(sig)).hex())
-        imported = Chain.from_jsonl("\n".join(lines), c.config)
+        imported = Chain.from_jsonl("\n".join(lines) + "\n", c.config)
         assert imported.verify() == ch.VerifyResult(False, 2, ch.R_TX_SIG)
 
 

@@ -1,11 +1,15 @@
 """Command line interface tests, driven through main() directly."""
 
+import argparse
 import json
+import pathlib
 from importlib import resources
 
 import pytest
 
 from ledgerstack import cli
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def bundled_path(tmp_path, name):
@@ -20,8 +24,9 @@ class TestChainCommands:
         out = tmp_path / "chain.jsonl"
         assert cli.main(["chain", "init", "--out", str(out)]) == 0
         assert out.exists()
+        capsys.readouterr()
         assert cli.main(["chain", "verify", str(out)]) == 0
-        assert "valid" in capsys.readouterr().out
+        assert capsys.readouterr().out == "valid: height 0, 0 tx(s)\n"
 
     def test_init_is_deterministic(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -29,15 +34,14 @@ class TestChainCommands:
         cli.main(["chain", "init", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
-    def test_export_is_canonical(self, tmp_path):
-        src = tmp_path / "chain.jsonl"
-        cli.main(["chain", "init", "--out", str(src)])
-        # whitespace padding survives the file but not the re-export
-        padded = tmp_path / "padded.jsonl"
-        padded.write_text(src.read_text() + "\n\n")
-        out = tmp_path / "round.jsonl"
-        assert cli.main(["chain", "export", "--in", str(padded), "--out", str(out)]) == 0
-        assert out.read_bytes() == src.read_bytes()
+    def test_verify_refuses_a_padded_file_at_its_first_blank_line(self, tmp_path, capsys):
+        # before: imported, and `chain export` wrote it back without the padding
+        path = tmp_path / "chain.jsonl"
+        cli.main(["chain", "init", "--out", str(path)])
+        path.write_text(path.read_text() + "\n\n")
+        capsys.readouterr()
+        assert cli.main(["chain", "verify", str(path)]) == 1
+        assert capsys.readouterr().out == "import failed: line 2: non_canonical_line: blank line\n"
 
     def test_verify_rejects_corruption(self, tmp_path, capsys):
         path = tmp_path / "chain.jsonl"
@@ -62,14 +66,6 @@ class TestChainCommands:
         path = tmp_path / "garbage.jsonl"
         path.write_text("this is not a chain\n")
         assert cli.main(["chain", "verify", str(path)]) == 1
-
-    def test_import_summarizes(self, tmp_path, capsys):
-        path = tmp_path / "chain.jsonl"
-        cli.main(["chain", "init", "--out", str(path)])
-        capsys.readouterr()
-        assert cli.main(["chain", "import", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "height 0" in out
 
     def test_wrong_seed_fails_verification(self, tmp_path):
         # a bare genesis carries no approvals, so the operator only shows
@@ -111,12 +107,24 @@ class TestScenarioCommands:
         assert report.exists()
         assert json.loads(report.read_text())["summary"]["op_count"] == 26
 
-    def test_report_dir_from_environment(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("name, op_count", [("tsa_day_cycle", 26), ("escrow_paths", 17)])
+    def test_bundled_report_is_the_golden(self, tmp_path, capsys, name, op_count):
+        # the tsa day-cycle and escrow demo printouts read these reports
+        path = bundled_path(tmp_path, f"{name}.jsonl")
+        report_dir = tmp_path / "reports"
+        assert cli.main(["scenario", "run", str(path), "--report", str(report_dir)]) == 0
+        report = report_dir / f"{name}.report.json"
+        assert capsys.readouterr().out == f"report written to {report}\n{name}: {op_count} op(s) ok\n"
+        assert report.read_bytes() == (GOLDEN / f"{name}.report.json").read_bytes()
+
+    def test_no_report_without_the_flag(self, tmp_path, capsys, monkeypatch):
+        # the report directory used to come from the environment as well
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("LEDGERSTACK_REPORT_DIR", str(tmp_path / "env_reports"))
         path = bundled_path(tmp_path, "escrow_paths.jsonl")
-        report_dir = tmp_path / "env_reports"
-        monkeypatch.setenv(cli.REPORT_DIR_ENV, str(report_dir))
         assert cli.main(["scenario", "run", str(path)]) == 0
-        assert (report_dir / "escrow_paths.report.json").exists()
+        assert capsys.readouterr().out == "escrow_paths: 17 op(s) ok\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["escrow_paths.jsonl"]
 
     def test_failed_assertion_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"
@@ -134,28 +142,22 @@ class TestScenarioCommands:
         assert "unknown op" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "command,text,message",
+        "text,message",
         [
-            ("scenario", '{"op": "tsa_init"}\n{"op": "fund", "name": "ghost", "amount": 5}\n', "line 2: no key named 'ghost'"),
-            ("scenario", '{"op": "keygen", "name": ["a"], "seed": "%s"}\n' % ("01" * 32), "line 1: name must be text"),
-            ("tsa", '{"op": "tsa_init"}\n{"op": "sweep", "agency": "north"}\n', "line 2: no treasury ledger"),
-            ("tsa", '{"op": "tsa_init"}\n{"op": "open", "id": "m", "kind": "nope"}\n', "line 2: expected"),
+            ('{"op": "tsa_init"}\n{"op": "fund", "name": "ghost", "amount": 5}\n', "line 2: no key named 'ghost'"),
+            ('{"op": "keygen", "name": ["a"], "seed": "%s"}\n' % ("01" * 32), "line 1: name must be text"),
+            ('{"op": "tsa_init"}\n{"op": "sweep", "agency": "north"}\n', "line 2: no treasury ledger"),
+            ('{"op": "tsa_init"}\n{"op": "open", "id": "m", "kind": "nope"}\n', "line 2: expected"),
+            ('{"op": "tsa_init"}\n{"op": "escrow_sign", "escrow": "e", "signer": "a", "disposition": "release"}\n',
+             "line 2: no escrow 'e'"),
         ],
     )
-    def test_any_scenario_failure_exits_1_naming_its_line(self, tmp_path, capsys, command, text, message):
+    def test_any_scenario_failure_exits_1_naming_its_line(self, tmp_path, capsys, text, message):
         # before: a traceback for a run-state error or a field of the wrong type
         path = tmp_path / "bad.jsonl"
         path.write_text(text)
-        argv = ["scenario", "run", str(path)] if command == "scenario" else ["tsa", "day-cycle", str(path)]
-        assert cli.main(argv) == 1
+        assert cli.main(["scenario", "run", str(path)]) == 1
         assert capsys.readouterr().out.startswith(f"scenario failed: {message}")
-
-    def test_tsa_day_cycle_summary(self, tmp_path, capsys):
-        path = bundled_path(tmp_path, "tsa_day_cycle.jsonl")
-        assert cli.main(["tsa", "day-cycle", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "day 0" in out
-        assert "consolidated 1805" in out
 
 
 class TestContractsCommand:
@@ -226,11 +228,8 @@ class TestInputErrors:
         "command",
         [
             ["chain", "verify", "{}"],
-            ["chain", "import", "{}"],
-            ["chain", "export", "--in", "{}", "--out", "out.jsonl"],
             ["settle", "run", "{}"],
             ["scenario", "run", "{}"],
-            ["tsa", "day-cycle", "{}"],
         ],
     )
     def test_missing_input_file_exits_1(self, tmp_path, command, capsys):
@@ -284,20 +283,26 @@ class TestInputErrors:
         assert capsys.readouterr().out == "bad trades file: run_cycle needs at least one trade\n"
 
 
-class TestEscrowCommand:
-    def test_demo_runs_and_reports(self, tmp_path, capsys):
-        report_dir = tmp_path / "reports"
-        assert cli.main(["escrow", "demo", "--report", str(report_dir)]) == 0
-        out = capsys.readouterr().out
-        assert "released" in out
-        assert "refunded" in out
-        assert "arbitrated" in out
-        assert (report_dir / "escrow_paths.report.json").exists()
+def _commands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    return next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
 
-    def test_demo_failure_exits_1_naming_its_line(self, monkeypatch, capsys):
-        def fail(text, name):
-            raise cli.engine.EngineError("no escrow 'e'", 4)
 
-        monkeypatch.setattr(cli.engine, "run_scenario", fail)
-        assert cli.main(["escrow", "demo"]) == 1
-        assert capsys.readouterr().out == "scenario failed: line 4: no escrow 'e'\n"
+class TestCommandList:
+    def test_one_command_per_job(self):
+        commands = {f"{group} {name}" for group, sub in _commands(cli.build_parser()).items() for name in _commands(sub)}
+        assert commands == {"chain init", "chain verify", "scenario run", "contracts list", "settle run"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chain", "export", "--in", "a.jsonl", "--out", "b.jsonl"],
+            ["chain", "import", "a.jsonl"],
+            ["tsa", "day-cycle", "a.jsonl"],
+            ["escrow", "demo"],
+        ],
+    )
+    def test_a_deleted_command_is_unknown(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err

@@ -216,6 +216,20 @@ class TestRunErrors:
             engine.run_scenario(lines({"op": "keygen", "name": "a", "seed": "01" * 32}, doc))
         assert e.value.line == 2
 
+    def test_a_date_posts_once(self):
+        # before: the second post_books posted the day total again, giving
+        # receivables_control 10 and sales -10
+        sale = {"op": "prime_entry", "book": "sales_day", "date": "2026-03-02", "counterparty": "acme", "amount": 5}
+        text = lines(sale, {"op": "post_books"}, {"op": "post_books"}, {"op": "trial_balance"})
+        results = [row["result"] for row in engine.run_scenario(text)["ops"][1:]]
+        assert results == [
+            {"entries": 1},
+            {"entries": 0},
+            {"total": 0, "balances": {"receivables_control": 5, "sales": -5}},
+        ]
+        repost = {"op": "post_books", "date": "2026-03-02", "expect_error": "BankLedgerError"}
+        assert engine.run_scenario(lines(sale, {"op": "post_books"}, repost))["summary"]["op_count"] == 3
+
     @pytest.mark.parametrize(
         "doc,error",
         [
@@ -430,6 +444,12 @@ class TestReportBytes:
         text = bundled("tsa_day_cycle.jsonl")
         raw = engine.report_bytes(engine.run_scenario(text, "tsa_day_cycle"))
         assert raw == (GOLDEN / "tsa_day_cycle.report.json").read_bytes()
+
+    def test_golden_escrow_report(self):
+        # the three escrow paths (released, refunded, arbitrated) run from
+        # this scenario only
+        raw = engine.report_bytes(engine.run_scenario(bundled("escrow_paths.jsonl"), "escrow_paths"))
+        assert raw == (GOLDEN / "escrow_paths.report.json").read_bytes()
 
     @pytest.mark.parametrize("name", ["bank_books", "contracts_tour"])
     def test_golden_bank_and_contract_reports(self, name):

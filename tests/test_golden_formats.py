@@ -254,6 +254,57 @@ def test_one_flipped_byte_fails_at_its_height(path, config, line, key, nth, heig
     assert got_height == height and got_reason.startswith(reason)
 
 
+def _reordered(line: str) -> str:
+    """Line 2 with its keys in reverse order, written with spaces."""
+    return json.dumps(dict(reversed(json.loads(line).items()))) + "\n"
+
+
+def _upper_hex(line: str) -> str:
+    block_id = json.loads(line)["block_id"]
+    return line.replace(block_id, block_id.upper())
+
+
+class TestOneByteForm:
+    """A chain file imports only as the bytes to_jsonl writes for the chain
+    it parses to; any other form of a line is refused at that line."""
+
+    @pytest.mark.parametrize(
+        "rewrite",
+        [
+            lambda line: '{"comment":"x",' + line[1:],
+            lambda line: '{"height":7,' + line[1:],
+            _reordered,
+            _upper_hex,
+            lambda line: line.replace('"float"', '"\\u0066loat"'),
+        ],
+        ids=["extra-key", "repeated-height", "reordered-with-spaces", "upper-case-hex", "escaped-char"],
+    )
+    def test_another_form_of_line_2_is_refused_at_line_2(self, rewrite):
+        # before: each imported, verified and re-exported to the golden bytes
+        lines = QUORUM_FILE.read_text().split("\n")
+        lines[1] = rewrite(lines[1] + "\n")[:-1]
+        assert lines[1] != QUORUM_FILE.read_text().split("\n")[1]
+        with pytest.raises(BadImport, match="^line 2: non_canonical_line: ") as err:
+            Chain.from_jsonl("\n".join(lines), QUORUM_CONFIG)
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize(
+        "rewrite,line",
+        [
+            (lambda text: text + "\n", 5),
+            (lambda text: text.replace("\n", "\n\n", 2), 2),
+            (lambda text: text.replace("\n", "\r\n"), 1),
+            (lambda text: text[:-1], 4),
+            (lambda text: " " + text, 1),
+        ],
+        ids=["trailing-blank-line", "blank-line-2", "crlf", "no-final-newline", "leading-space"],
+    )
+    def test_other_line_framing_is_refused_at_its_line(self, rewrite, line):
+        with pytest.raises(BadImport, match=f"^line {line}: non_canonical_line: ") as err:
+            Chain.from_jsonl(rewrite(QUORUM_FILE.read_text()), QUORUM_CONFIG)
+        assert err.value.line == line
+
+
 class TestStampFile:
     def test_imports_and_verifies(self):
         periods = load_stamps(STAMPS_FILE.read_text())

@@ -126,7 +126,8 @@ def test_chain_file_mutations_escape_only_as_import_errors(tmp_path):
     rng = random.Random(1102)
     escapes = {}
     for _ in range(200):
-        text = "\n".join(mutate_lines(rng, lines, ["height", "txs", "approvals", "payload", "kind"]))
+        # each line keeps its newline, so that a dropped or repeated line reaches verify
+        text = "".join(ln + "\n" for ln in mutate_lines(rng, lines, ["height", "txs", "approvals", "payload", "kind"]))
         try:
             chain_mod.Chain.from_jsonl(text, led.chain.config).verify()
         except (chain_mod.BadImport, chain_mod.EmptyChain):

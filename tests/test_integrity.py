@@ -109,6 +109,15 @@ class TestRule1CdisChangeOnlyThroughTps:
         view.value = b"999999"
         assert st.get_item("acct").value == b"100"
 
+    def test_registered_item_is_a_copy(self):
+        # before: rewriting the caller's object rewrote the CDI, with no TP
+        # and no audit record
+        st = base_state()
+        item = DataItem("fees", CDI, biba_level=1, value=b"10")
+        st.register_item(item)
+        item.value = b"999"
+        assert st.get_item("fees").value == b"10"
+
     def test_tp_crash_is_denial_not_corruption(self):
         st = base_state()
         res = st.execute_tp("alice", "credit", ["acct"], {})  # missing amount
@@ -305,6 +314,16 @@ class TestRule6PrivilegedAuthorization:
         # grant did not happen
         denied = st.execute_tp("bob", "credit", ["acct"], {"amount": 1})
         assert not denied.allowed
+
+    def test_registered_subject_is_a_copy(self):
+        # before: making the caller's object privileged let the grant succeed
+        st = base_state()
+        ops = Subject("ops", biba_level=1)
+        st.register_subject(ops)
+        ops.privileged = True
+        res = st.alter_authorization("ops", Triple.of("ops", "credit", {"acct"}), ig.GRANT)
+        assert not res.allowed and res.reason == "not_privileged"
+        assert not st.execute_tp("ops", "credit", ["acct"], {"amount": 1}).allowed
 
     def test_privileged_grant_then_execution(self):
         st = base_state()
