@@ -94,7 +94,6 @@ def _cmd_chain_verify(args: argparse.Namespace) -> int:
     return 1
 
 
-
 # ---------------------------------------------------------------------------
 # scenarios
 

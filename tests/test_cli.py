@@ -300,6 +300,7 @@ class TestCommandList:
             ["tsa", "day-cycle", "a.jsonl"],
             ["escrow", "demo"],
         ],
+        ids=["chain-export", "chain-import", "tsa-day-cycle", "escrow-demo"],
     )
     def test_a_deleted_command_is_unknown(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
